@@ -153,14 +153,14 @@ def cmd_export_path(args) -> int:
         raise CliError("samples must be >= 2")
     initial = state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
     path = phases.sample_path(sched, initial, args.samples)
+    rows = np.column_stack((path.times(), path.points()))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,x,y,z\n")
-            for t, point in path.samples:
-                fh.write(f"{t:.17g},{point.x:.17g},{point.y:.17g},{point.z:.17g}\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {len(path.samples)} samples to {args.out}")
+    print(f"wrote {len(rows)} samples to {args.out}")
     return 0
 
 

@@ -3,7 +3,8 @@
 Everything here is closed-form 2x2 linear algebra with hbar = 1: a drive
 segment with unit axis n, angular frequency omega, and duration tau generates
 H = (omega/2) (n . sigma) and the propagator U = exp(-i H tau), evaluated
-through the axis-angle identity rather than a series expansion.
+through the axis-angle identity rather than a series expansion. Every
+propagator in the package comes from one batched kernel, ``su2``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class QubitState:
 
     def __post_init__(self):
         norm = abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2
-        if abs(norm - 1.0) > STATE_INPUT_TOL:
+        if not abs(norm - 1.0) <= STATE_INPUT_TOL:  # NaN-safe
             raise NonNormalizedStateError(
                 f"|amp_up|^2 + |amp_down|^2 = {norm!r}, expected 1"
             )
@@ -75,7 +76,8 @@ class BlochVector:
 class ControlSegment:
     """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
 
-    Zero-duration segments are legal and act as the identity.
+    Zero-duration segments are legal and act as the identity. NaN and
+    infinite values are rejected.
     """
 
     axis: tuple[float, float, float]
@@ -87,12 +89,12 @@ class ControlSegment:
         if len(ax) != 3:
             raise NonUnitAxisError(f"axis must have 3 components, got {len(ax)}")
         norm = math.sqrt(sum(c * c for c in ax))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
             raise NonUnitAxisError(f"axis norm {norm!r} differs from 1")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "duration", float(self.duration))
@@ -153,44 +155,78 @@ def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitStat
     raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
+def bloch_points(spinors: np.ndarray) -> np.ndarray:
+    """Bloch vectors of normalized spinors: shape (..., 2) -> (..., 3).
+
+    Global phases drop out.
+    """
+    a, b = spinors[..., 0], spinors[..., 1]
+    ab = np.conj(a) * b
+    return np.stack((2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2), axis=-1)
+
+
 def bloch_vector(state: QubitState) -> BlochVector:
     """Map a normalized state to its Bloch vector; global phase drops out."""
-    a, b = state.amp_up, state.amp_down
-    return BlochVector(
-        x=2.0 * (np.conj(a) * b).real,
-        y=2.0 * (np.conj(a) * b).imag,
-        z=abs(a) ** 2 - abs(b) ** 2,
-    )
+    return BlochVector(*bloch_points(state.as_vector()).tolist())
+
+
+def su2(axes, theta) -> np.ndarray:
+    """Stack of rotations exp(-i (theta/2) n . sigma), shape theta.shape + (2, 2).
+
+    Closed form U = cos(theta/2) I - i sin(theta/2) (n . sigma). axes has
+    shape (..., 3) and broadcasts against theta, so one axis serves a whole
+    array of angles and k axes serve a (trials, k) array of angles. Call it
+    once per schedule, not once per 2x2: its cost is per call.
+    """
+    axes = np.asarray(axes, dtype=float)
+    half = np.asarray(theta, dtype=float) / 2
+    cos, sin = np.cos(half), np.sin(half)
+    sx, sy, sz = sin * axes[..., 0], sin * axes[..., 1], sin * axes[..., 2]
+    u = np.empty(sx.shape + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    re[..., 0, 0] = re[..., 1, 1] = cos
+    im[..., 0, 0] = -sz
+    im[..., 1, 1] = sz
+    re[..., 0, 1] = -sy
+    re[..., 1, 0] = sy
+    im[..., 0, 1] = im[..., 1, 0] = -sx
+    return u
+
+
+def drive_arrays(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Axes, shape (k, 3), and rotation angles omega * tau, shape (k,)."""
+    axes = np.array([seg.axis for seg in segments], dtype=float).reshape(-1, 3)
+    theta = np.array([seg.omega * seg.duration for seg in segments], dtype=float)
+    return axes, theta
 
 
 def segment_unitary(seg: ControlSegment) -> np.ndarray:
-    """Exact propagator exp(-i H tau) via the axis-angle closed form.
+    """Exact propagator exp(-i H tau) of one segment (see ``su2``)."""
+    return su2(seg.axis, seg.omega * seg.duration)
 
-    With theta = omega * tau:
-        U = cos(theta/2) I - i sin(theta/2) (n . sigma)
+
+def ordered_product(steps) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0] for a sequence of (..., 2, 2) stacks.
+
+    The first step acts first; an empty sequence gives the identity.
     """
-    theta = seg.omega * seg.duration
-    nx, ny, nz = seg.axis
-    n_sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
-    return math.cos(theta / 2) * IDENTITY_2 - 1j * math.sin(theta / 2) * n_sigma
+    if len(steps) == 0:
+        return IDENTITY_2.copy()
+    u = steps[0]
+    for step in steps[1:]:
+        u = step @ u
+    return u
 
 
 def schedule_unitary(sched: Schedule) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment rightmost)."""
-    u = IDENTITY_2.copy()
-    for seg in sched:
-        u = segment_unitary(seg) @ u
-    return u
-
-
-def apply_unitary(u: np.ndarray, state: QubitState) -> QubitState:
-    vec = u @ state.as_vector()
-    return QubitState(vec[0], vec[1])
+    return ordered_product(su2(*drive_arrays(sched.segments)))
 
 
 def propagate(sched: Schedule, initial: QubitState) -> QubitState:
     """Final state after the whole schedule."""
-    return apply_unitary(schedule_unitary(sched), initial)
+    vec = schedule_unitary(sched) @ initial.as_vector()
+    return QubitState(vec[0], vec[1])
 
 
 def unitarity_defect(u: np.ndarray) -> float:

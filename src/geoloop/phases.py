@@ -9,7 +9,8 @@ minus half the enclosed solid angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +18,10 @@ from .core import (
     BlochVector,
     QubitState,
     Schedule,
-    apply_unitary,
-    bloch_vector,
+    bloch_points,
+    drive_arrays,
     propagate,
-    segment_unitary,
+    su2,
 )
 
 DEFAULT_CYCLIC_TOL = 1e-9
@@ -48,17 +49,56 @@ class PhaseDecomposition:
     geometric: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochPath:
-    """Time-stamped Bloch-sphere trajectory samples."""
+    """Time-stamped Bloch-sphere trajectory, stored as two arrays.
 
-    samples: tuple[tuple[float, BlochVector], ...]
+    t holds the sample times, shape (n,); r holds the Bloch vectors, shape
+    (n, 3), with r[i] reached at time t[i]. Both are stored read-only.
+    """
+
+    t: np.ndarray
+    r: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.t, dtype=float).view()
+        r = np.asarray(self.r, dtype=float).view()
+        if t.ndim != 1 or r.shape != (len(t), 3):
+            raise ValueError(
+                f"need times of shape (n,) and points of shape (n, 3), "
+                f"got {t.shape} and {r.shape}"
+            )
+        t.flags.writeable = False
+        r.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
 
     def points(self) -> np.ndarray:
-        return np.array([p.as_array() for _, p in self.samples])
+        return self.r
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        return self.t
+
+    @property
+    def samples(self) -> "PathSamples":
+        """The path as a read-only sequence of (time, BlochVector) pairs."""
+        return PathSamples(self)
+
+
+class PathSamples(Sequence):
+    """Lazy (time, BlochVector) view of a BlochPath; builds entries on read."""
+
+    def __init__(self, path: BlochPath):
+        self._t = path.t
+        self._r = path.r
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return float(self._t[index]), BlochVector(*self._r[index].tolist())
 
 
 def wrap_phase(theta: float) -> float:
@@ -81,7 +121,7 @@ def total_phase(sched: Schedule, initial: QubitState) -> float:
     """Phase arg<initial|final> of a cyclic evolution, in (-pi, pi]."""
     final = propagate(sched, initial)
     overlap = initial.inner(final)
-    if abs(overlap) < 1.0 - DEFAULT_CYCLIC_TOL:
+    if not abs(overlap) >= 1.0 - DEFAULT_CYCLIC_TOL:  # NaN-safe
         raise NonCyclicError(
             f"initial state is not cyclic (|overlap| = {abs(overlap):.6g})"
         )
@@ -92,18 +132,20 @@ def dynamical_phase(sched: Schedule, initial: QubitState) -> float:
     """-sum_k <psi_k|H_k|psi_k> tau_k over the schedule.
 
     <H> is conserved within each constant-H segment, so this segment sum
-    equals the continuous-time integral exactly. Defined for any evolution,
-    cyclic or not.
+    equals the continuous-time integral exactly. With H_k = (omega_k/2)
+    n_k . sigma, <H_k> = (omega_k/2) n_k . r_k, where r_k is the Bloch
+    vector entering segment k, so the sum is -1/2 sum_k theta_k n_k . r_k
+    with theta_k = omega_k tau_k. Defined for any evolution, cyclic or not.
     """
-    phase = 0.0
-    state = initial
-    for seg in sched:
-        h = seg.hamiltonian()
-        vec = state.as_vector()
-        expect = float((np.conj(vec) @ (h @ vec)).real)
-        phase -= expect * seg.duration
-        state = apply_unitary(segment_unitary(seg), state)
-    return phase
+    axes, theta = drive_arrays(sched.segments)
+    spinors = np.empty((len(theta), 2), dtype=complex)
+    vec = initial.as_vector()
+    for k, u in enumerate(su2(axes, theta)):
+        spinors[k] = vec
+        vec = u @ vec
+    n_dot_r = np.sum(axes * bloch_points(spinors), axis=1)
+    # 0.0 - x keeps an exactly zero phase unsigned, as the report prints it.
+    return 0.0 - 0.5 * float(theta @ n_dot_r)
 
 
 def geometric_phase(sched: Schedule, initial: QubitState) -> PhaseDecomposition:
@@ -120,27 +162,35 @@ def sample_path(
 ) -> BlochPath:
     """Bloch trajectory with exact boundary points.
 
-    Interior points come from closed-form partial-segment propagation.
-    Each segment contributes samples_per_segment - 1 new points, so the
-    path has 1 + len(sched) * (samples_per_segment - 1) samples in total.
+    Interior points come from closed-form partial-segment propagation, one
+    ``su2`` call per segment. Each segment with nonzero duration contributes
+    samples_per_segment - 1 new points, so the path has
+    1 + (moving segments) * (samples_per_segment - 1) samples in total.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
-    samples = [(0.0, bloch_vector(initial))]
-    state = initial
+    # Zero-duration segments add no samples: times must stay strictly
+    # increasing and the points would be duplicates.
+    moving = sum(1 for seg in sched if seg.duration > 0)
+    per_segment = samples_per_segment - 1
+    fracs = np.arange(1, samples_per_segment) / per_segment
+    times = np.empty(1 + moving * per_segment)
+    spinors = np.empty((len(times), 2), dtype=complex)
+    times[0] = 0.0
+    spinors[0] = initial.as_vector()
+    start = 1
     t0 = 0.0
     for seg in sched:
         if seg.duration > 0:
-            # Zero-duration segments add no samples: times must stay
-            # strictly increasing and the point would be a duplicate.
-            for k in range(1, samples_per_segment):
-                frac = k / (samples_per_segment - 1)
-                partial = replace(seg, duration=seg.duration * frac)
-                s = apply_unitary(segment_unitary(partial), state)
-                samples.append((t0 + seg.duration * frac, bloch_vector(s)))
-        state = apply_unitary(segment_unitary(seg), state)
+            stop = start + per_segment
+            partial = seg.duration * fracs
+            times[start:stop] = t0 + partial
+            # The last fraction is exactly 1, so the segment's final spinor
+            # is the entry spinor of the next segment.
+            spinors[start:stop] = su2(seg.axis, seg.omega * partial) @ spinors[start - 1]
+            start = stop
         t0 += seg.duration
-    return BlochPath(samples=tuple(samples))
+    return BlochPath(t=times, r=bloch_points(spinors))
 
 
 def _triangle_excess(a_side: np.ndarray, b_side: np.ndarray, c_side: np.ndarray):

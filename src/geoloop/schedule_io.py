@@ -87,29 +87,29 @@ def _parse_step(obj, text: str):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ScheduleParseError("step must be an object with a single key")
     (kind, body), = obj.items()
-    if kind == "pulse_y":
-        _check_fields(body, {"omega", "duration"}, "pulse_y", text)
-        return ControlSegment(
-            axis=(0, 1, 0),
-            omega=_number(_require(body, "omega", "pulse_y", text), "omega", text),
-            duration=_number(
-                _require(body, "duration", "pulse_y", text), "duration", text
-            ),
-        )
-    if kind == "coupling":
-        _check_fields(body, {"duration", "j"}, "coupling", text)
-        try:
+    try:
+        if kind == "pulse_y":
+            _check_fields(body, {"omega", "duration"}, "pulse_y", text)
+            return ControlSegment(
+                axis=(0, 1, 0),
+                omega=_number(_require(body, "omega", "pulse_y", text), "omega", text),
+                duration=_number(
+                    _require(body, "duration", "pulse_y", text), "duration", text
+                ),
+            )
+        if kind == "coupling":
+            _check_fields(body, {"duration", "j"}, "coupling", text)
             return CouplingStep(
                 duration=_number(
                     _require(body, "duration", "coupling", text), "duration", text
                 ),
                 coupling_j=_number(_require(body, "j", "coupling", text), "j", text),
             )
-        except ValueError as exc:
-            if isinstance(exc, ScheduleParseError):
-                raise
-            line, col = _locate_key(text, "coupling")
-            raise ScheduleParseError(f"invalid coupling step: {exc}", line, col) from exc
+    except ValueError as exc:
+        if isinstance(exc, ScheduleParseError):
+            raise
+        line, col = _locate_key(text, kind)
+        raise ScheduleParseError(f"invalid {kind} step: {exc}", line, col) from exc
     line, col = _locate_key(text, kind)
     raise ScheduleParseError(f"unknown step kind {kind!r}", line, col)
 

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ControlSegment, IDENTITY_2, SIGMA_Z, Schedule, segment_unitary
+from .core import ControlSegment, IDENTITY_2, SIGMA_Z, ordered_product, su2
 from .gates import ChiOutOfRangeError, single_loop_schedule, u_chi
 
 IDENTITY_4 = np.eye(4, dtype=complex)
@@ -55,17 +55,19 @@ class CouplingStep:
 
     In the effective (accessory-dressed) picture this applies
     exp(-i * pi * J * sigma_z * duration) on qubit a when b is up and the
-    identity when b is down.
+    identity when b is down. NaN and infinite values are rejected.
     """
 
     duration: float
     coupling_j: float
 
     def __post_init__(self):
-        if self.coupling_j <= 0:
-            raise InvalidCouplingError(f"coupling_j must be > 0, got {self.coupling_j}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 < self.coupling_j < math.inf:
+            raise InvalidCouplingError(
+                f"coupling_j must be finite and > 0, got {self.coupling_j}"
+            )
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
 
 
 ConditionalStep = Union[ControlSegment, CouplingStep]
@@ -141,36 +143,29 @@ def two_qubit_schedule(
     )
 
 
-def _block_diag(up_block: np.ndarray, down_block: np.ndarray) -> np.ndarray:
-    """4x4 unitary acting as up_block (down_block) on qubit a for b up (down)."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = up_block
-    u[2:, 2:] = down_block
-    return u
-
-
 def two_qubit_unitary(sched: ConditionalSchedule) -> np.ndarray:
     """Propagator of the conditional schedule in the effective picture.
 
-    The coupling step applies exp(-i pi J sigma_z tau) only on the b = up
-    block; drive segments act on both blocks in natural mode and on the
-    b = up block alone in line-selective mode.
+    The coupling step applies exp(-i pi J sigma_z tau), a z rotation by
+    2 pi J tau, only on the b = up block; drive segments act on both blocks
+    in natural mode and on the b = up block alone in line-selective mode.
+    The two 2x2 blocks come from one ``su2`` call and are assembled once.
     """
-    u = IDENTITY_4.copy()
+    natural = sched.mode == "natural"
+    axes, theta, acts_on_down = [], [], []
     for step in sched.steps:
         if isinstance(step, CouplingStep):
-            angle = math.pi * step.coupling_j * step.duration
-            up = np.array(
-                [[np.exp(-1j * angle), 0], [0, np.exp(1j * angle)]], dtype=complex
-            )
-            step_u = _block_diag(up, IDENTITY_2)
+            axes.append((0.0, 0.0, 1.0))
+            theta.append(2.0 * math.pi * step.coupling_j * step.duration)
+            acts_on_down.append(False)
         else:
-            pulse = segment_unitary(step)
-            if sched.mode == "line_selective":
-                step_u = _block_diag(pulse, IDENTITY_2)
-            else:
-                step_u = _block_diag(pulse, pulse)
-        u = step_u @ u
+            axes.append(step.axis)
+            theta.append(step.omega * step.duration)
+            acts_on_down.append(natural)
+    steps = su2(np.reshape(axes, (-1, 3)), theta)
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2] = ordered_product(steps)
+    u[2:, 2:] = ordered_product(steps[acts_on_down])
     return u
 
 
@@ -219,4 +214,6 @@ def controlled_u_reference(chi: float) -> np.ndarray:
     """Directly assembled controlled gate: u_chi block plus identity block."""
     if not 0.0 <= chi <= math.pi / 2:
         raise ChiOutOfRangeError(f"chi must be in [0, pi/2], got {chi}")
-    return _block_diag(u_chi(chi), IDENTITY_2)
+    u = IDENTITY_4.copy()
+    u[:2, :2] = u_chi(chi)
+    return u

@@ -3,10 +3,12 @@
 These deliberately avoid the closed forms under test: the matrix
 exponential is a Taylor series with scaling and squaring, and the
 dynamical-phase quadrature propagates states through an eigendecomposition
-of the Hamiltonian.
+of the Hamiltonian. The module also holds input generators shared by
+several test files.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def series_expm(m: np.ndarray, terms: int = 30) -> np.ndarray:
@@ -47,7 +49,28 @@ def quadrature_dynamical_phase(sched, initial, steps_per_segment: int = 10_000) 
     return phase
 
 
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def series_rotation(axis, theta) -> np.ndarray:
+    """exp(-i theta/2 n.sigma) by the series exponential."""
+    n_sigma = sum(c * p for c, p in zip(axis, PAULI))
+    return series_expm(-0.5j * theta * n_sigma)
+
+
 def random_unit_axis(rng) -> tuple:
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
     return tuple(v)
+
+
+# Hypothesis strategy for unit rotation axes.
+unit_axes = (
+    st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 3)
+    .filter(lambda v: sum(c * c for c in v) > 1e-6)
+    .map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
+)

@@ -62,6 +62,17 @@ class TestSynthesize:
         assert rc == 2
         assert "chi out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--omega", "--omega2"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite_frequency(self, tmp_path, capsys, flag, bad):
+        out = tmp_path / "s.json"
+        args = {"--omega": "1", "--omega2": "1", flag: bad}
+        rc = main(["synthesize", "--chi", "pi/4", *[x for kv in args.items() for x in kv],
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_pass_against_closed_form(self, loop_file, capsys):
@@ -88,6 +99,14 @@ class TestVerify:
         save_schedule(two_qubit_schedule(1.0, p, "line_selective"), path)
         assert main(["verify", str(path), "--target", "u2_prime"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_two_qubit_non_finite_pulse(self, tmp_path, capsys):
+        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
+        path = tmp_path / "u2.json"
+        save_schedule(two_qubit_schedule(1.0, p, "natural"), path)
+        path.write_text(path.read_text().replace('"omega": 1.0', '"omega": NaN', 1))
+        assert main(["verify", str(path), "--target", "u2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_controlled_u_from_loop_file(self, loop_file, capsys):
         assert main(["verify", str(loop_file), "--target", "controlled_u:pi/4"]) == 0
@@ -123,6 +142,16 @@ class TestPhase:
         assert main(["phase", str(path), "--chi", "0.3"]) == 0
         out = capsys.readouterr().out
         assert out.split() == ["total", "0", "dynamical", "0", "geometric", "0"]
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_rejects_non_finite_file_value(self, loop_file, capsys, bad):
+        text = loop_file.read_text()
+        loop_file.write_text(text.replace('"omega": 1.0', f'"omega": {bad}', 1))
+        rc = main(["phase", str(loop_file), "--chi", "pi/4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "nan" not in captured.out.lower()
+        assert captured.err.startswith("error: ")
 
     def test_noncyclic_initial_state(self, loop_file, capsys):
         rc = main(["phase", str(loop_file), "--chi", "0", "--phi", "0"])

@@ -16,12 +16,52 @@ from geoloop.core import (
     schedule_unitary,
     segment_unitary,
     state_from_angles,
+    su2,
     unitarity_defect,
 )
 
-from helpers import random_unit_axis, series_expm
+from helpers import random_unit_axis, series_expm, series_rotation, unit_axes
 
 TOL = 1e-12
+
+angles = st.one_of(st.just(0.0), st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False))
+
+
+class TestSu2Kernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(unit_axes, angles), min_size=1, max_size=6))
+    def test_stack_matches_series_exponential(self, pairs):
+        axes = np.array([axis for axis, _ in pairs])
+        theta = np.array([t for _, t in pairs])
+        stack = su2(axes, theta)
+        assert stack.shape == (len(pairs), 2, 2)
+        for u, (axis, t) in zip(stack, pairs):
+            assert np.max(np.abs(u - series_rotation(axis, t))) <= TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(unit_axes, st.lists(angles, min_size=1, max_size=5))
+    def test_one_axis_broadcasts_over_angles(self, axis, theta):
+        stack = su2(axis, theta)
+        assert stack.shape == (len(theta), 2, 2)
+        for u, t in zip(stack, theta):
+            assert np.array_equal(u, su2(axis, t))
+            assert np.max(np.abs(u - series_rotation(axis, t))) <= TOL
+
+    def test_axes_broadcast_over_trials(self):
+        rng = np.random.default_rng(8)
+        axes = np.array([random_unit_axis(rng) for _ in range(3)])
+        theta = rng.uniform(-5, 5, size=(4, 3))
+        stack = su2(axes, theta)
+        assert stack.shape == (4, 3, 2, 2)
+        for i in range(4):
+            for k in range(3):
+                assert np.max(np.abs(stack[i, k] - series_rotation(axes[k], theta[i, k]))) <= TOL
+
+    def test_zero_angle_is_exact_identity(self):
+        assert np.array_equal(su2((0.6, 0.0, 0.8), [0.0]), np.eye(2)[None])
+
+    def test_empty_stack(self):
+        assert su2(np.empty((0, 3)), np.empty(0)).shape == (0, 2, 2)
 
 
 class TestStateFromAngles:
@@ -93,6 +133,11 @@ class TestBlochVector:
         with pytest.raises(NonNormalizedStateError):
             QubitState(1.0, 0.5)
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitude(self, amp):
+        with pytest.raises(NonNormalizedStateError):
+            QubitState(amp, 0)
+
 
 class TestSegmentUnitary:
     def test_z_quarter_turn(self):
@@ -141,6 +186,18 @@ class TestSegmentUnitary:
     def test_rejects_negative_omega(self):
         with pytest.raises(ValueError):
             ControlSegment(axis=(0, 0, 1), omega=-1.0, duration=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega", "duration"])
+    def test_rejects_non_finite_drive(self, field, bad):
+        kwargs = {"axis": (0, 0, 1), "omega": 1.0, "duration": 1.0, field: bad}
+        with pytest.raises(ValueError):
+            ControlSegment(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_axis(self, bad):
+        with pytest.raises(ValueError):
+            ControlSegment(axis=(bad, 0, 0), omega=1.0, duration=1.0)
 
 
 def random_schedule(rng, max_segments=16) -> Schedule:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoloop.core import schedule_unitary
+from geoloop.core import ControlSegment, Schedule, schedule_unitary
 from geoloop.gates import single_loop_schedule, u_chi
 from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule
 
@@ -21,6 +21,20 @@ class TestPerturbSchedule:
         b = perturb_schedule(LOOP, spec, 3)
         assert a == b
         assert a != perturb_schedule(LOOP, spec, 4)
+
+    def test_matches_per_segment_draw_loop(self):
+        # Reference: trial i draws eps then delta for each segment in turn
+        # from default_rng([seed, i]); seeded sweeps depend on this order.
+        spec = NoiseSpec(sigma_omega=0.02, sigma_tau=0.01, trials=5, seed=1234)
+        for trial in range(5):
+            rng = np.random.default_rng([spec.seed, trial])
+            expected = []
+            for seg in LOOP:
+                omega = seg.omega * (1.0 + spec.sigma_omega * rng.standard_normal())
+                tau = seg.duration * (1.0 + spec.sigma_tau * rng.standard_normal())
+                expected.append((omega, tau))
+            got = perturb_schedule(LOOP, spec, trial)
+            assert [(s.omega, s.duration) for s in got] == expected
 
     def test_axes_untouched(self):
         spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=1, seed=7)
@@ -76,6 +90,37 @@ class TestFidelitySweep:
         a = fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
         b = fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "sigma_omega, sigma_tau", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.3), (0.02, 0.01), (1.0, 1.0)]
+    )
+    def test_every_trial_matches_perturbed_schedule(self, sigma_omega, sigma_tau):
+        # 300 trials cross the sweep's internal trial blocks.
+        spec = NoiseSpec(sigma_omega=sigma_omega, sigma_tau=sigma_tau, trials=300, seed=31)
+        target = u_chi(0.3)
+        result = fidelity_sweep(LOOP, target, spec)
+        assert len(result.fidelities) == spec.trials
+        for i, fid in enumerate(result.fidelities):
+            u = schedule_unitary(perturb_schedule(LOOP, spec, i))
+            assert abs(fid - abs(np.trace(target.conj().T @ u)) / 2) <= 1e-14
+
+    def test_clamps_large_draws_at_zero(self):
+        spec = NoiseSpec(sigma_omega=3.0, sigma_tau=3.0, trials=200, seed=4)
+        drives = [(s.omega, s.duration) for i in range(200) for s in perturb_schedule(LOOP, spec, i)]
+        assert min(min(d) for d in drives) == 0.0
+
+    def test_empty_schedule_is_identity_every_trial(self):
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=5, seed=1)
+        result = fidelity_sweep(Schedule(), np.eye(2), spec)
+        assert result.fidelities == (1.0,) * 5
+
+    def test_single_segment_sweep(self):
+        seg = ControlSegment((0, 1, 0), 1.0, 0.5)
+        spec = NoiseSpec(sigma_tau=0.1, trials=3, seed=2)
+        result = fidelity_sweep(Schedule(segments=(seg,)), np.eye(2), spec)
+        for i, fid in enumerate(result.fidelities):
+            u = schedule_unitary(perturb_schedule(Schedule(segments=(seg,)), spec, i))
+            assert abs(fid - abs(np.trace(u)) / 2) <= 1e-14
 
     def test_summary_statistics(self):
         spec = NoiseSpec(sigma_tau=0.05, trials=50, seed=3)

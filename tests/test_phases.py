@@ -1,14 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoloop.core import (
     ControlSegment,
     QubitState,
     Schedule,
+    segment_unitary,
     state_from_angles,
 )
+from geoloop import phases
 from geoloop.gates import single_loop_schedule
 from geoloop.phases import (
     BlochPath,
@@ -24,14 +29,51 @@ from geoloop.phases import (
 )
 from geoloop.core import BlochVector
 
-from helpers import quadrature_dynamical_phase
+from helpers import PAULI, quadrature_dynamical_phase, unit_axes
 
 TOL = 1e-12
 CHI_GRID = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
 
+# Random schedules with dwell (omega = 0) and zero-duration segments.
+schedules = st.lists(
+    st.builds(
+        ControlSegment,
+        axis=unit_axes,
+        omega=st.one_of(st.just(0.0), st.floats(0, 3)),
+        duration=st.one_of(st.just(0.0), st.floats(0, 2)),
+    ),
+    max_size=6,
+).map(lambda segs: Schedule(segments=tuple(segs)))
+initial_states = st.builds(
+    state_from_angles,
+    st.floats(0, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from(["plus", "minus"]),
+)
+
 
 def loop_and_state(chi, omega=1.0, omega2=1.0):
     return single_loop_schedule(chi, omega, omega2), state_from_angles(chi, 0.0, "plus")
+
+
+def reference_path(sched, initial, samples_per_segment):
+    """Point-by-point path: one segment_unitary per sample, Bloch vectors
+    as Pauli expectation values."""
+    times = [0.0]
+    states = [initial.as_vector()]
+    vec = initial.as_vector()
+    t0 = 0.0
+    for seg in sched:
+        if seg.duration > 0:
+            for k in range(1, samples_per_segment):
+                frac = k / (samples_per_segment - 1)
+                partial = ControlSegment(seg.axis, seg.omega, seg.duration * frac)
+                states.append(segment_unitary(partial) @ vec)
+                times.append(t0 + seg.duration * frac)
+        vec = segment_unitary(seg) @ vec
+        t0 += seg.duration
+    points = [[(v.conj() @ p @ v).real for p in PAULI] for v in states]
+    return np.array(times), np.array(points)
 
 
 class TestIsCyclic:
@@ -72,6 +114,14 @@ class TestTotalPhase:
         with pytest.raises(NonCyclicError):
             total_phase(sched, QubitState(1, 0))
 
+    def test_nan_overlap_raises(self, monkeypatch):
+        # A NaN overlap fails every comparison, so the test must be written
+        # as "not cyclic unless |overlap| >= 1 - tol".
+        nan_state = SimpleNamespace(amp_up=complex(math.nan), amp_down=0j)
+        monkeypatch.setattr(phases, "propagate", lambda sched, initial: nan_state)
+        with pytest.raises(NonCyclicError):
+            total_phase(Schedule(), QubitState(1, 0))
+
 
 class TestDynamicalPhase:
     def test_first_z_segment_contribution(self):
@@ -95,6 +145,12 @@ class TestDynamicalPhase:
         state = state_from_angles(1.234, math.pi / 2, "plus")
         sched = Schedule(segments=(ControlSegment((1, 0, 0), 1.5, 2.0),))
         assert abs(dynamical_phase(sched, state)) <= TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, initial_states)
+    def test_matches_quadrature_with_dwell_and_zero_duration(self, sched, state):
+        got = dynamical_phase(sched, state)
+        assert abs(got - quadrature_dynamical_phase(sched, state)) <= 1e-8
 
     def test_quadrature_equivalence_random(self):
         rng = np.random.default_rng(5)
@@ -190,6 +246,52 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(Schedule(), QubitState(1, 0), 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, initial_states, st.integers(2, 40))
+    def test_matches_point_by_point_propagation(self, sched, state, n):
+        path = sample_path(sched, state, n)
+        times, points = reference_path(sched, state, n)
+        assert np.array_equal(path.times(), times)
+        assert path.points().shape == points.shape
+        assert np.max(np.abs(path.points() - points)) <= 1e-14
+
+    def test_loop_matches_point_by_point_propagation(self):
+        sched, state = loop_and_state(math.pi / 2, 0.7, 1.9)  # zero-duration last segment
+        path = sample_path(sched, state, 500)
+        times, points = reference_path(sched, state, 500)
+        assert np.array_equal(path.times(), times)
+        assert np.max(np.abs(path.points() - points)) <= 1e-14
+
+
+class TestBlochPath:
+    def test_samples_view(self):
+        sched, state = loop_and_state(0.6)
+        path = sample_path(sched, state, 20)
+        samples = path.samples
+        assert len(samples) == len(path.times()) == len(path.points())
+        t, point = samples[-1]
+        assert t == path.times()[-1]
+        assert isinstance(point, BlochVector)
+        assert np.array_equal(point.as_array(), path.points()[-1])
+        assert [s[0] for s in samples] == path.times().tolist()
+        assert samples[1:3] == (samples[1], samples[2])
+        with pytest.raises(IndexError):
+            samples[len(samples)]
+
+    def test_arrays_are_stored_read_only(self):
+        path = sample_path(*loop_and_state(0.6), 5)
+        assert path.points() is path.points()
+        with pytest.raises(ValueError):
+            path.points()[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            path.times()[0] = 2.0
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            BlochPath(t=[0.0, 1.0], r=[[0, 0, 1]])
+        with pytest.raises(ValueError):
+            BlochPath(t=[0.0], r=[0, 0, 1])
+
 
 class TestSolidAngle:
     def test_quarter_loop_area(self):
@@ -198,25 +300,18 @@ class TestSolidAngle:
         assert abs(solid_angle(path) - math.pi) <= 1e-4
 
     def test_degenerate_two_point_path(self):
-        p = BlochVector(0, 0, 1)
-        path = BlochPath(samples=((0.0, p), (1.0, p)))
+        path = BlochPath(t=[0.0, 1.0], r=[[0, 0, 1], [0, 0, 1]])
         assert solid_angle(path) == 0.0
 
     def test_reversed_orientation_flips_sign(self):
         sched, state = loop_and_state(math.pi / 4)
         path = sample_path(sched, state, 3000)
         pts = path.points()[::-1]
-        rev = BlochPath(
-            samples=tuple(
-                (float(i), BlochVector(*p)) for i, p in enumerate(pts)
-            )
-        )
+        rev = BlochPath(t=np.arange(len(pts), dtype=float), r=pts)
         assert abs(solid_angle(path) + solid_angle(rev)) <= 1e-6
 
     def test_open_path_rejected(self):
-        path = BlochPath(
-            samples=((0.0, BlochVector(0, 0, 1)), (1.0, BlochVector(1, 0, 0)))
-        )
+        path = BlochPath(t=[0.0, 1.0], r=[[0, 0, 1], [1, 0, 0]])
         with pytest.raises(OpenPathError):
             solid_angle(path)
 

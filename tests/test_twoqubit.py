@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoloop.core import ControlSegment, Schedule, state_from_angles
 from geoloop.gates import compare_gates, u_chi
@@ -22,6 +24,8 @@ from geoloop.twoqubit import (
     u2_natural,
 )
 from geoloop.core import IDENTITY_2, SIGMA_Z, unitarity_defect
+
+from helpers import PAULI, series_expm, series_rotation, unit_axes
 
 TOL = 1e-12
 
@@ -175,6 +179,61 @@ class TestTwoQubitUnitary:
         assert np.sum(sv > 1e-9) > 1
 
 
+B_UP = np.diag([1.0, 0.0])  # projectors on qubit b, the slow index
+B_DOWN = np.diag([0.0, 1.0])
+I2 = np.eye(2)
+
+conditional_schedules = st.builds(
+    ConditionalSchedule,
+    steps=st.lists(
+        st.one_of(
+            st.builds(
+                ControlSegment,
+                axis=unit_axes,
+                omega=st.floats(0, 3),
+                duration=st.one_of(st.just(0.0), st.floats(0, 2)),
+            ),
+            st.builds(
+                CouplingStep,
+                duration=st.one_of(st.just(0.0), st.floats(0, 2)),
+                coupling_j=st.floats(0.05, 2),
+            ),
+        ),
+        max_size=6,
+    ),
+    mode=st.sampled_from(["natural", "line_selective"]),
+)
+
+
+def kron_reference(sched) -> np.ndarray:
+    """Product of explicit 4x4 step propagators, each assembled with kron."""
+    u = np.eye(4, dtype=complex)
+    for step in sched.steps:
+        if isinstance(step, CouplingStep):
+            rz = series_expm(-1j * math.pi * step.coupling_j * step.duration * PAULI[2])
+            step_u = np.kron(B_UP, rz) + np.kron(B_DOWN, I2)
+        else:
+            ua = series_rotation(step.axis, step.omega * step.duration)
+            if sched.mode == "natural":
+                step_u = np.kron(I2, ua)
+            else:
+                step_u = np.kron(B_UP, ua) + np.kron(B_DOWN, I2)
+        u = step_u @ u
+    return u
+
+
+class TestTwoQubitUnitaryOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(conditional_schedules)
+    def test_matches_kron_built_product(self, sched):
+        assert np.max(np.abs(two_qubit_unitary(sched) - kron_reference(sched))) <= TOL
+
+    @pytest.mark.parametrize("mode", ["natural", "line_selective"])
+    def test_paper_sequence_matches_kron_built_product(self, mode):
+        sched = two_qubit_schedule(1.3, PARAMS, mode)
+        assert np.max(np.abs(two_qubit_unitary(sched) - kron_reference(sched))) <= TOL
+
+
 class TestControlledU:
     def test_chi_zero(self):
         u = controlled_u(0.0, 1.0, 1.0)
@@ -208,6 +267,14 @@ def test_coupling_step_validation():
         CouplingStep(duration=1.0, coupling_j=0.0)
     with pytest.raises(ValueError):
         CouplingStep(duration=-1.0, coupling_j=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coupling_step_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        CouplingStep(duration=bad, coupling_j=1.0)
+    with pytest.raises(ValueError):
+        CouplingStep(duration=1.0, coupling_j=bad)
 
 
 def test_conditional_schedule_mode_validation():
