@@ -45,11 +45,16 @@ def parse_angle(text: str) -> float:
             value *= float(m.group("coef"))
         if m.group("den"):
             value /= float(m.group("den"))
-        return -value if m.group("sign") == "-" else value
-    try:
-        return float(text)
-    except ValueError:
-        raise CliError(f"cannot parse angle {text!r}") from None
+        if m.group("sign") == "-":
+            value = -value
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise CliError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise CliError(f"angle {text!r} is not finite")
+    return value
 
 
 def _load(path):
@@ -75,11 +80,7 @@ def _target_unitary(spec: str, sched) -> np.ndarray:
     if name == "controlled_u":
         if not arg:
             raise CliError("target controlled_u needs an angle")
-        chi = parse_angle(arg)
-        try:
-            return controlled_u_reference(chi)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return controlled_u_reference(parse_angle(arg))
     raise CliError(f"unknown target {spec!r}")
 
 
@@ -100,10 +101,7 @@ def cmd_synthesize(args) -> int:
     chi = parse_angle(args.chi)
     if not 0.0 <= chi <= math.pi / 2:
         raise CliError("chi out of range [0, pi/2]")
-    try:
-        sched = gates.single_loop_schedule(chi, args.omega, args.omega2)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sched = gates.single_loop_schedule(chi, args.omega, args.omega2)
     try:
         schedule_io.save_schedule(sched, args.out)
     except OSError as exc:
@@ -241,7 +239,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # The library raises ValueError only to reject an input value.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ robustness analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_omega < 0 or self.sigma_tau < 0:
-            raise ValueError("sigmas must be >= 0")
-        if self.trials < 1:
+        if not (0 <= self.sigma_omega < math.inf and 0 <= self.sigma_tau < math.inf):
+            raise ValueError("sigmas must be finite and >= 0")
+        if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
 
 

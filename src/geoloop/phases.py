@@ -26,6 +26,11 @@ from .core import (
 
 DEFAULT_CYCLIC_TOL = 1e-9
 PATH_CLOSURE_TOL = 1e-6
+# Edges per block in solid_angle. Blocks keep its complex temporaries near
+# 64 kB, which malloc serves from its heap. Whole-path temporaries (640 kB
+# at 40k points) are mapped fresh on every call, and their page faults
+# cost more than the arithmetic.
+AREA_BLOCK = 4096
 
 
 class NonCyclicError(ValueError):
@@ -68,6 +73,8 @@ class BlochPath:
                 f"need times of shape (n,) and points of shape (n, 3), "
                 f"got {t.shape} and {r.shape}"
             )
+        if not (np.isfinite(t).all() and np.isfinite(r).all()):
+            raise ValueError("path times and points must be finite")
         t.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -162,10 +169,13 @@ def sample_path(
 ) -> BlochPath:
     """Bloch trajectory with exact boundary points.
 
-    Interior points come from closed-form partial-segment propagation, one
-    ``su2`` call per segment. Each segment with nonzero duration contributes
-    samples_per_segment - 1 new points, so the path has
-    1 + (moving segments) * (samples_per_segment - 1) samples in total.
+    Each segment rotates the Bloch vector about its axis n by theta =
+    omega * t. Interior points come from the closed (Rodrigues) form
+    r(theta) = (1, cos theta, sin theta) . ((n.r0) n, r0 - (n.r0) n, n x r0)
+    of the segment's entry point r0, one matrix product per segment. Each
+    segment with nonzero duration contributes samples_per_segment - 1 new
+    points, so the path has 1 + (moving segments) * (samples_per_segment - 1)
+    samples in total.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
@@ -175,9 +185,10 @@ def sample_path(
     per_segment = samples_per_segment - 1
     fracs = np.arange(1, samples_per_segment) / per_segment
     times = np.empty(1 + moving * per_segment)
-    spinors = np.empty((len(times), 2), dtype=complex)
+    points = np.empty((len(times), 3))
+    coeffs = np.ones((per_segment, 3))  # rows (1, cos theta, sin theta)
     times[0] = 0.0
-    spinors[0] = initial.as_vector()
+    points[0] = bloch_points(initial.as_vector())
     start = 1
     t0 = 0.0
     for seg in sched:
@@ -185,80 +196,53 @@ def sample_path(
             stop = start + per_segment
             partial = seg.duration * fracs
             times[start:stop] = t0 + partial
-            # The last fraction is exactly 1, so the segment's final spinor
-            # is the entry spinor of the next segment.
-            spinors[start:stop] = su2(seg.axis, seg.omega * partial) @ spinors[start - 1]
+            # The last fraction is exactly 1, so the segment's final point
+            # is the entry point of the next segment.
+            r0 = points[start - 1]
+            n = np.asarray(seg.axis)
+            along = (n @ r0) * n
+            theta = seg.omega * partial
+            np.cos(theta, out=coeffs[:, 1])
+            np.sin(theta, out=coeffs[:, 2])
+            basis = np.array([along, r0 - along, np.cross(n, r0)])
+            np.matmul(coeffs, basis, out=points[start:stop])
             start = stop
         t0 += seg.duration
-    return BlochPath(t=times, r=bloch_points(spinors))
+    return BlochPath(t=times, r=points)
 
 
-def _triangle_excess(a_side: np.ndarray, b_side: np.ndarray, c_side: np.ndarray):
-    """Spherical excess via l'Huilier, vectorized over triangles."""
-    s = 0.5 * (a_side + b_side + c_side)
-    prod = (
-        np.tan(0.5 * s)
-        * np.tan(0.5 * (s - a_side))
-        * np.tan(0.5 * (s - b_side))
-        * np.tan(0.5 * (s - c_side))
-    )
-    return 4.0 * np.arctan(np.sqrt(np.clip(prod, 0.0, None)))
+def _edge_phase_sum(chain: np.ndarray) -> float:
+    """Sum of arg <psi_k|psi_k+1> over consecutive points of a chain.
 
-
-def _fan_origin(pts: np.ndarray) -> np.ndarray:
-    """Fan point for the triangle decomposition.
-
-    Fanning from the first sample breaks down whenever the path crosses its
-    antipode (the chi = 0 loop runs pole to pole), so the fan is anchored at
-    the normalized sample centroid, which sits away from the path for the
-    loops handled here.
+    Each point is lifted to an unnormalized spinor with the pole chart that
+    is regular there: (1 + z, x + iy) north, (x - iy, 1 - z) south. arg
+    ignores positive scale, and a closed product does not depend on the
+    charts.
     """
-    mean = pts.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm > 1e-9:
-        return mean / norm
-    # Centroid degenerates for balanced paths (e.g. a full great circle);
-    # use the pole of the plane spanned by the first distinct chords.
-    for i in range(1, len(pts)):
-        cross = np.cross(pts[i] - pts[0], pts[(i + 1) % len(pts)] - pts[0])
-        if np.linalg.norm(cross) > 1e-9:
-            return cross / np.linalg.norm(cross)
-    return pts[0]
+    x, y, z = chain.T
+    north = z >= 0
+    up = np.where(north, 1.0 + z, x - 1j * y)
+    down = np.where(north, x + 1j * y, 1.0 - z)
+    overlaps = up[:-1].conj() * up[1:] + down[:-1].conj() * down[1:]
+    return float(np.sum(np.angle(overlaps)))
 
 
 def solid_angle(path: BlochPath) -> float:
     """Signed solid angle enclosed by a closed Bloch path, in (-2*pi, 2*pi].
 
-    Sums l'Huilier spherical-triangle excesses fanned from an interior
-    anchor point, each weighted by its orientation sign (counterclockwise
-    seen from outside the sphere counts positive).
+    The area of the geodesic polygon through the samples, from its Bargmann
+    invariant Omega = 2 arg prod_k <psi_k|psi_k+1>, the last sample wrapping
+    to the first (Samuel & Bhandari, PRL 60, 2339 (1988)). Counterclockwise
+    seen from outside the sphere counts positive, and a self-crossing path
+    counts each region once per winding. Exact, with no anchor point, for
+    every closed polygon whose consecutive samples are not antipodal (an
+    antipodal pair has no unique geodesic between them).
     """
     pts = path.points()
-    if len(pts) < 2 or np.max(np.abs(pts[0] - pts[-1])) > PATH_CLOSURE_TOL:
+    if len(pts) < 2 or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
         raise OpenPathError("path is not closed to within the closure tolerance")
-    # Drop consecutive duplicates (zero-motion dwell segments).
-    keep = np.r_[True, np.max(np.abs(np.diff(pts, axis=0)), axis=1) > 1e-15]
-    pts = pts[keep]
-    if len(pts) < 3:
-        return 0.0
-
-    p0 = _fan_origin(pts)
-    pa = pts[:-1]
-    pb = pts[1:]
-
-    def arc(u, v):
-        dots = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-        return np.arccos(dots)
-
-    side_a = arc(pa, pb)
-    side_b = arc(pb, p0[None, :])
-    side_c = arc(p0[None, :], pa)
-    excess = _triangle_excess(side_a, side_b, side_c)
-    signs = np.sign(np.einsum("i,ji->j", p0, np.cross(pa, pb)))
-    omega = float(np.sum(signs * excess))
-    # Fold into (-2*pi, 2*pi]; a single loop cannot enclose more than the sphere.
-    if omega > 2.0 * math.pi:
-        omega -= 4.0 * math.pi
-    elif omega <= -2.0 * math.pi:
-        omega += 4.0 * math.pi
-    return omega
+    total = _edge_phase_sum(pts[[-1, 0]])
+    for start in range(0, len(pts) - 1, AREA_BLOCK):
+        total += _edge_phase_sum(pts[start:start + AREA_BLOCK + 1])
+    # A single loop cannot enclose more than the sphere.
+    return 2.0 * wrap_phase(total)

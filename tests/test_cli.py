@@ -39,6 +39,46 @@ class TestParseAngle:
         with pytest.raises(CliError):
             parse_angle("tau/4")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["nan", "inf", "-inf", "Infinity", pytest.param("9" * 400 + "pi", id="huge-pi")],
+    )
+    def test_rejects_non_finite(self, text):
+        from geoloop.cli import CliError
+
+        with pytest.raises(CliError):
+            parse_angle(text)
+
+
+class TestInputErrors:
+    """Bad command-line values exit 2 with one 'error: ' line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase", "{loop}", "--chi", "nan"],
+            ["phase", "{loop}", "--chi", "pi/4", "--phi", "inf"],
+            ["verify", "{loop}", "--target", "u_chi:inf"],
+            ["verify", "{loop}", "--target", "controlled_u:nan"],
+            ["export-path", "{loop}", "--chi", "nan", "--out", "{tmp}/p.csv"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--trials", "0"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--sigma-tau", "-1"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--sigma-tau", "nan",
+             "--trials", "2"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--sigma-omega", "inf",
+             "--trials", "2"],
+        ],
+    )
+    def test_exits_2(self, loop_file, tmp_path, capsys, argv):
+        argv = [a.format(loop=loop_file, tmp=tmp_path) for a in argv]
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "nan" not in captured.out.lower()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestSynthesize:
     def test_writes_four_segments(self, tmp_path):

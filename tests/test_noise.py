@@ -56,6 +56,13 @@ class TestPerturbSchedule:
         with pytest.raises(ValueError):
             NoiseSpec(trials=0)
 
+    @pytest.mark.parametrize("field", ["sigma_omega", "sigma_tau"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sigma(self, field, bad):
+        # NaN fails every comparison, so "sigma < 0" alone lets it through.
+        with pytest.raises(ValueError):
+            NoiseSpec(**{field: bad})
+
 
 class TestFidelitySweep:
     def test_zero_sigma_is_exact(self):

@@ -292,6 +292,14 @@ class TestBlochPath:
         with pytest.raises(ValueError):
             BlochPath(t=[0.0], r=[0, 0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # A NaN point used to pass the closure test and give an area of 0.0.
+        with pytest.raises(ValueError):
+            BlochPath(t=[0.0, 1.0, 2.0], r=[[bad, 0, 0], [0, 1, 0], [bad, 0, 0]])
+        with pytest.raises(ValueError):
+            BlochPath(t=[0.0, bad, 2.0], r=[[1, 0, 0], [0, 1, 0], [1, 0, 0]])
+
 
 class TestSolidAngle:
     def test_quarter_loop_area(self):
@@ -321,3 +329,99 @@ class TestSolidAngle:
         omega = solid_angle(sample_path(sched, state, 10_000))
         geo = geometric_phase(sched, state).geometric
         assert abs(wrap_phase(geo + omega / 2)) <= 1e-4
+
+
+def point_state(r):
+    """The state whose Bloch vector is the unit vector r."""
+    return state_from_angles(math.acos(max(-1.0, min(1.0, r[2]))), math.atan2(r[1], r[0]))
+
+
+def precession_path(axes, start, samples_per_segment):
+    """Bloch path of start precessing one full turn about each axis in turn."""
+    segs = tuple(ControlSegment(axis, 1.0, 2 * math.pi) for axis in axes)
+    return sample_path(Schedule(segments=segs), point_state(start), samples_per_segment)
+
+
+def cap_area(axis, start):
+    """Area of the cap that start encloses precessing right-handedly about axis."""
+    return 2 * math.pi * (1 - float(np.dot(axis, start)))
+
+
+def area_gap(a, b):
+    """|a - b| for areas, which are defined modulo 4*pi."""
+    return abs(math.remainder(a - b, 4 * math.pi))
+
+
+def random_rotation(seed):
+    """A random proper rotation matrix (QR of a Gaussian matrix)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+# An inscribed N-gon misses about cos(a) sin(a)^2 (2 pi)^3 / (12 N^2) of a
+# cap of angular radius a: at most 5e-7 for N = 3999 edges.
+CAP_SAMPLES = 4000
+CAP_TOL = 1e-6
+
+
+class TestSolidAngleInvariant:
+    """The Bargmann area: exact for geodesic polygons, with no anchor point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_axes, unit_axes)
+    def test_random_axis_cap(self, axis, start):
+        path = precession_path([axis], start, CAP_SAMPLES)
+        omega = solid_angle(path)
+        assert area_gap(omega, cap_area(axis, start)) <= CAP_TOL
+        reverse = BlochPath(t=path.times(), r=path.points()[::-1])
+        assert area_gap(solid_angle(reverse), -omega) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_axes, unit_axes, unit_axes)
+    def test_figure_eight_is_difference_of_caps(self, axis_a, axis_b, start):
+        # Counterclockwise about axis_a, then clockwise about axis_b, both
+        # through start: the two lobes count with opposite signs.
+        path = precession_path([axis_a, tuple(-c for c in axis_b)], start, CAP_SAMPLES)
+        expected = cap_area(axis_a, start) - cap_area(axis_b, start)
+        assert area_gap(solid_angle(path), expected) <= 2 * CAP_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 2 * math.pi - 0.05), st.integers(3, 300))
+    def test_lune_through_both_poles(self, beta, n):
+        # North pole to south pole along the meridian phi = 0, back along
+        # phi = beta: a geodesic polygon through a point and its antipode,
+        # with area 2 beta.
+        segs = (
+            ControlSegment((0, 1, 0), 1.0, math.pi),
+            ControlSegment((math.sin(beta), -math.cos(beta), 0), 1.0, math.pi),
+        )
+        path = sample_path(Schedule(segments=segs), QubitState(1, 0), n)
+        assert area_gap(solid_angle(path), 2 * beta) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(0, math.pi / 2),
+        st.floats(0.2, 3),
+        st.floats(0.2, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rotation_invariant(self, chi, omega, omega2, seed):
+        path = sample_path(*loop_and_state(chi, omega, omega2), 200)
+        rotated = BlochPath(t=path.times(), r=path.points() @ random_rotation(seed).T)
+        assert area_gap(solid_angle(rotated), solid_angle(path)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 1000])
+    def test_independent_of_block_size(self, monkeypatch, block):
+        path = precession_path([(0.6, 0.0, 0.8), (0.0, -1.0, 0.0)], (1.0, 0.0, 0.0), 500)
+        expected = solid_angle(path)
+        monkeypatch.setattr(phases, "AREA_BLOCK", block)
+        assert abs(solid_angle(path) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [50, 10_000])
+    @pytest.mark.parametrize(
+        "chi", [0.0, 1e-6, 1e-4, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2]
+    )
+    def test_paper_loop_area_is_pi(self, chi, samples):
+        sched, state = loop_and_state(chi, 0.7, 1.3)
+        assert abs(solid_angle(sample_path(sched, state, samples)) - math.pi) <= 1e-12
