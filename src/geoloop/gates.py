@@ -68,8 +68,8 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     """
     if not 0.0 <= chi <= math.pi / 2:
         raise ChiOutOfRangeError(f"chi must be in [0, pi/2], got {chi}")
-    if omega <= 0 or omega2 <= 0:
-        raise ValueError("omega and omega2 must be > 0")
+    if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
+        raise ValueError("omega and omega2 must be finite and > 0")
     return Schedule(
         segments=(
             ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),

@@ -9,6 +9,7 @@ robustness analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,13 @@ from .core import ControlSegment, Schedule, drive_arrays, ordered_product, su2
 # temporaries near 100 kB however many trials it runs, while still
 # amortizing numpy's per-call cost over hundreds of trials.
 TRIAL_BLOCK = 128
+# Trials whose stream seeds are hashed together. A hash call costs about
+# 0.1 ms however few trials it covers, so hashing per TRIAL_BLOCK would
+# cost four times as much; at 512 trials its temporaries stay near 100 kB.
+SEED_BLOCK = 4 * TRIAL_BLOCK
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -50,24 +58,17 @@ class SweepResult:
 
 
 def _perturbed_drives(
-    sched: Schedule, spec: NoiseSpec, trials
+    sched: Schedule, spec: NoiseSpec, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed (omega, tau) of every segment for the given trial indices.
+    """Perturbed (omega, tau) of every segment from standard normal draws.
 
-    omega -> omega * (1 + sigma_omega * eps), tau -> tau * (1 + sigma_tau *
-    delta), clamped at zero so segment invariants survive large draws. Trial
-    i draws (eps, delta) per segment, in that order, from its own stream
-    default_rng([seed, i]), so a trial depends only on (seed, i); with both
-    sigmas zero nothing is drawn. Both arrays have shape
-    (len(trials), len(sched)).
+    draws has shape (trials, len(sched), 2) and holds each segment's
+    (eps, delta): omega -> omega * (1 + sigma_omega * eps), tau -> tau *
+    (1 + sigma_tau * delta), clamped at zero so segment invariants survive
+    large draws. Both arrays have shape (trials, len(sched)).
     """
     omega = np.array([seg.omega for seg in sched], dtype=float)
     tau = np.array([seg.duration for seg in sched], dtype=float)
-    draws = np.zeros((len(trials), len(sched), 2))
-    if spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0:
-        seed = spec.seed & 0xFFFFFFFFFFFFFFFF
-        for row, trial in zip(draws, trials):
-            np.random.default_rng([seed, trial]).standard_normal(out=row)
     omega = np.maximum(omega * (1.0 + spec.sigma_omega * draws[..., 0]), 0.0)
     tau = np.maximum(tau * (1.0 + spec.sigma_tau * draws[..., 1]), 0.0)
     return omega, tau
@@ -76,12 +77,19 @@ def _perturbed_drives(
 def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Schedule:
     """Deterministic perturbed copy of the schedule for one trial.
 
-    omega -> omega * (1 + eps), tau -> tau * (1 + delta) with independent
-    Gaussian eps, delta per segment; axes are untouched. The stream depends
-    only on (seed, trial_index). It is the schedule that trial trial_index
-    of ``fidelity_sweep`` propagates.
+    omega -> omega * (1 + sigma_omega * eps), tau -> tau * (1 + sigma_tau *
+    delta), clamped at zero, with independent Gaussian eps, delta per
+    segment; axes are untouched. The trial draws (eps, delta) per segment,
+    in that order, from its own stream default_rng([seed, trial_index])
+    (seed taken mod 2**64), so it depends only on (seed, trial_index); with
+    both sigmas zero nothing is drawn. It is the schedule that trial
+    trial_index of ``fidelity_sweep`` propagates.
     """
-    omega, tau = _perturbed_drives(sched, spec, [trial_index])
+    draws = np.zeros((1, len(sched), 2))
+    if spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0:
+        rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
+        rng.standard_normal(out=draws[0])
+    omega, tau = _perturbed_drives(sched, spec, draws)
     segments = tuple(
         ControlSegment(seg.axis, w, t)
         for seg, w, t in zip(sched, omega[0].tolist(), tau[0].tolist())
@@ -89,24 +97,149 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     return Schedule(segments=segments, label=sched.label)
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of ``calls`` successive SeedSequence hashmixes.
+
+    The running constant advances before it multiplies, so call k xors with
+    init * mult**k and multiplies by init * mult**(k + 1), mod 2**32. The
+    constants advance as Python ints: numpy uint32 scalars would warn on
+    overflow.
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return (
+        np.array(consts[:-1], dtype=np.uint32)[:, None],
+        np.array(consts[1:], dtype=np.uint32)[:, None],
+    )
+
+
+# SeedSequence's hash (NumPy NEP 19, numpy.random.bit_generator): a pool of
+# 4 words filled by 4 hashmixes and mixed by 12 more, then 8 output words
+# from a second hash chain.
+_POOL = 4
+_HASH_POOL = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_HASH_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on uint32 words; value itself is not changed."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
+    """PCG64 seed words of the streams default_rng([seed, i]), one row per trial i.
+
+    Row i equals SeedSequence([seed, i]).generate_state(4, np.uint64): the
+    same hash, run on all trials at once as uint32 array arithmetic. seed
+    is in [0, 2**64) and trial indices in [0, 2**32), so the entropy is
+    seed's one word (two above 2**32 - 1) followed by the trial index.
+    """
+    words = [seed] if seed <= _MASK32 else [seed & _MASK32, seed >> 32]
+    pool = np.zeros((_POOL, len(trials)), dtype=np.uint32)
+    pool[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = trials
+    xor, mult = _HASH_POOL
+    pool = _hashmix(pool, xor[:_POOL], mult[:_POOL])
+    for src in range(_POOL):
+        # Round src hashes word src once per other word, in order.
+        dst = [k for k in range(_POOL) if k != src]
+        calls = slice(_POOL + 3 * src, _POOL + 3 * src + 3)
+        hashed = _hashmix(pool[src], xor[calls], mult[calls])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ mixed >> 16
+    # The 8 output words read the pool twice over.
+    xor, mult = _HASH_OUT
+    out = _hashmix(pool, xor.reshape(2, _POOL, 1), mult.reshape(2, _POOL, 1))
+    out = out.reshape(2 * _POOL, -1)
+    # uint64 word k is little-endian (out[2k], out[2k + 1]).
+    state = out[1::2].T.astype(np.uint64, order="C")
+    state <<= 32
+    state |= out[0::2].T
+    return state
+
+
+@functools.cache
+def _seed_rows_type() -> type:
+    """ISeedSequence handing each PCG64 built from it the next row of words.
+
+    Built on first use so that importing the package does not import
+    numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRows(ISeedSequence):
+        def __init__(self, rows: np.ndarray):
+            # PCG64 reads each row's memory directly: rows must be C-contiguous.
+            self._rows = iter(np.ascontiguousarray(rows, dtype=np.uint64))
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("SeedRows only holds PCG64's 4 uint64 seed words")
+            return next(self._rows)
+
+    return SeedRows
+
+
+def _trial_draws(seed_words: np.ndarray, segments: int) -> np.ndarray:
+    """(eps, delta) per segment, in that order, for each row of seed words.
+
+    Row i seeds a PCG64 exactly as default_rng([seed, i]) does, and that
+    stream's standard normals fill draws[i], shape (segments, 2).
+    """
+    from numpy.random import PCG64, Generator
+
+    rows = _seed_rows_type()(seed_words)
+    draws = np.empty((len(seed_words), segments, 2))
+    for row in draws:
+        Generator(PCG64(rows)).standard_normal(out=row)
+    return draws
+
+
+def _block_draws(spec: NoiseSpec, segments: int):
+    """Yield (trial slice, draws) for every TRIAL_BLOCK of the sweep.
+
+    draws are what ``perturb_schedule`` draws for each trial of the slice,
+    zeros when both sigmas are zero; the streams' seed words are hashed
+    SEED_BLOCK trials at a time.
+    """
+    noisy = spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
+    for chunk in range(0, spec.trials, SEED_BLOCK):
+        chunk_stop = min(chunk + SEED_BLOCK, spec.trials)
+        if noisy:
+            words = _seed_words(spec.seed & _MASK64, np.arange(chunk, chunk_stop))
+        for start in range(chunk, chunk_stop, TRIAL_BLOCK):
+            stop = min(start + TRIAL_BLOCK, chunk_stop)
+            if noisy:
+                draws = _trial_draws(words[start - chunk:stop - chunk], segments)
+            else:
+                draws = np.zeros((stop - start, segments, 2))
+            yield slice(start, stop), draws
+
+
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
-    Trials are propagated in blocks: one ``su2`` call per block over its
-    (trials, segments) angles, then one product step per segment across
-    the block's trials.
+    Trial i propagates ``perturb_schedule(sched, spec, i)``, bit for bit,
+    but the seeds of all its streams are hashed in batches rather than by
+    one SeedSequence per trial. Trials are propagated in blocks: one
+    ``su2`` call per block over its (trials, segments) angles, then one
+    product step per segment across the block's trials.
     """
     target_dag = np.asarray(target, dtype=complex).conj().T
     dim = target_dag.shape[0]
     axes, _ = drive_arrays(sched.segments)
     fidelities = np.empty(spec.trials)
-    for start in range(0, spec.trials, TRIAL_BLOCK):
-        block = range(start, min(start + TRIAL_BLOCK, spec.trials))
-        omega, tau = _perturbed_drives(sched, spec, block)
+    for block, draws in _block_draws(spec, len(sched)):
+        omega, tau = _perturbed_drives(sched, spec, draws)
         # Segment-major, so each product step multiplies the whole block.
         steps = su2(axes, omega * tau).swapaxes(0, 1)
         overlap = np.trace(target_dag @ ordered_product(steps), axis1=-2, axis2=-1)
-        fidelities[block.start:block.stop] = np.abs(overlap) / dim
+        fidelities[block] = np.abs(overlap) / dim
     return SweepResult(
         fidelities=tuple(fidelities.tolist()),
         mean=float(fidelities.mean()),

@@ -9,6 +9,7 @@ precision so parse(serialize(x)) reproduces x bit-for-bit.
 from __future__ import annotations
 
 import json
+from json.decoder import WHITESPACE
 from typing import Union
 
 from .core import ControlSegment, Schedule
@@ -28,90 +29,118 @@ class ScheduleParseError(ValueError):
         self.column = column
 
 
-def _locate_key(text: str, key: str) -> tuple[int, int]:
-    idx = text.find(f'"{key}"')
-    if idx < 0:
-        return 1, 1
+_DECODER = json.JSONDecoder()
+
+
+def _skip(text: str, idx: int) -> int:
+    return WHITESPACE.match(text, idx).end()
+
+
+def _offset(text: str, path: tuple) -> int:
+    """Offset of the token at ``path`` in a document that json.loads accepts.
+
+    path holds object keys and array indices from the top level down. The
+    token is the last key's opening quote, or the value at the last index
+    (the whole document for an empty path). Of duplicate keys the last one
+    counts, as in json.loads. Only error messages need this, so parsing
+    itself stays a single json.loads.
+    """
+    at = idx = _skip(text, 0)
+    for step in path:
+        idx = _skip(text, idx + 1)  # past '[' or '{'
+        if isinstance(step, int):
+            for _ in range(step):
+                idx = _skip(text, _skip(text, _DECODER.raw_decode(text, idx)[1]) + 1)
+            at = idx
+            continue
+        while text[idx] != "}":
+            key, end = _DECODER.raw_decode(text, idx)
+            value = _skip(text, _skip(text, end) + 1)  # past ':'
+            if key == step:
+                at, found = idx, value
+            idx = _skip(text, _DECODER.raw_decode(text, value)[1])
+            if text[idx] == ",":
+                idx = _skip(text, idx + 1)
+        idx = found
+    return at
+
+
+def _error(message: str, text: str, path: tuple = ()) -> ScheduleParseError:
+    """ScheduleParseError at the line and column of the token at ``path``."""
+    idx = _offset(text, path)
     line = text.count("\n", 0, idx) + 1
-    column = idx - (text.rfind("\n", 0, idx) + 1) + 1
-    return line, column
+    return ScheduleParseError(message, line, idx - text.rfind("\n", 0, idx))
 
 
-def _check_fields(obj: dict, allowed: set[str], context: str, text: str) -> None:
+def _check_fields(
+    obj: dict, allowed: set[str], context: str, text: str, path: tuple = ()
+) -> None:
     for key in obj:
         if key not in allowed:
-            line, col = _locate_key(text, key)
-            raise ScheduleParseError(
-                f"unknown field {key!r} in {context}", line, col
-            )
+            raise _error(f"unknown field {key!r} in {context}", text, path + (key,))
 
 
-def _require(obj: dict, key: str, context: str, text: str):
+def _require(obj: dict, key: str, context: str, text: str, path: tuple = ()):
     if key not in obj:
-        line, col = _locate_key(text, context)
-        raise ScheduleParseError(f"missing field {key!r} in {context}", line, col)
+        raise _error(f"missing field {key!r} in {context}", text, path)
     return obj[key]
 
 
-def _number(value, name: str, text: str) -> float:
+def _number(value, key: str, text: str, path: tuple) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        line, col = _locate_key(text, name)
-        raise ScheduleParseError(f"field {name!r} must be a number", line, col)
+        raise _error(f"field {key!r} must be a number", text, path + (key,))
     return float(value)
 
 
-def _parse_segment(obj, text: str) -> ControlSegment:
+def _number_field(obj: dict, key: str, context: str, text: str, path: tuple) -> float:
+    return _number(_require(obj, key, context, text, path), key, text, path)
+
+
+def _parse_segment(obj, text: str, path: tuple) -> ControlSegment:
     if not isinstance(obj, dict):
-        raise ScheduleParseError("segment must be an object")
-    _check_fields(obj, {"axis", "omega", "duration"}, "segment", text)
-    axis = _require(obj, "axis", "segment", text)
+        raise _error("segment must be an object", text, path)
+    _check_fields(obj, {"axis", "omega", "duration"}, "segment", text, path)
+    axis = _require(obj, "axis", "segment", text, path)
     if not (isinstance(axis, list) and len(axis) == 3):
-        line, col = _locate_key(text, "axis")
-        raise ScheduleParseError("field 'axis' must be a 3-element list", line, col)
+        raise _error("field 'axis' must be a 3-element list", text, path + ("axis",))
     try:
         return ControlSegment(
-            axis=tuple(_number(c, "axis", text) for c in axis),
-            omega=_number(_require(obj, "omega", "segment", text), "omega", text),
-            duration=_number(
-                _require(obj, "duration", "segment", text), "duration", text
-            ),
+            axis=tuple(_number(c, "axis", text, path) for c in axis),
+            omega=_number_field(obj, "omega", "segment", text, path),
+            duration=_number_field(obj, "duration", "segment", text, path),
         )
     except ValueError as exc:
         if isinstance(exc, ScheduleParseError):
             raise
-        line, col = _locate_key(text, "axis")
-        raise ScheduleParseError(f"invalid segment: {exc}", line, col) from exc
+        raise _error(f"invalid segment: {exc}", text, path + ("axis",)) from exc
 
 
-def _parse_step(obj, text: str):
+def _parse_step(obj, text: str, path: tuple):
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ScheduleParseError("step must be an object with a single key")
+        raise _error("step must be an object with a single key", text, path)
     (kind, body), = obj.items()
+    path += (kind,)
+    if kind not in ("pulse_y", "coupling"):
+        raise _error(f"unknown step kind {kind!r}", text, path)
+    if not isinstance(body, dict):
+        raise _error(f"{kind} step must be an object", text, path)
     try:
         if kind == "pulse_y":
-            _check_fields(body, {"omega", "duration"}, "pulse_y", text)
+            _check_fields(body, {"omega", "duration"}, kind, text, path)
             return ControlSegment(
                 axis=(0, 1, 0),
-                omega=_number(_require(body, "omega", "pulse_y", text), "omega", text),
-                duration=_number(
-                    _require(body, "duration", "pulse_y", text), "duration", text
-                ),
+                omega=_number_field(body, "omega", kind, text, path),
+                duration=_number_field(body, "duration", kind, text, path),
             )
-        if kind == "coupling":
-            _check_fields(body, {"duration", "j"}, "coupling", text)
-            return CouplingStep(
-                duration=_number(
-                    _require(body, "duration", "coupling", text), "duration", text
-                ),
-                coupling_j=_number(_require(body, "j", "coupling", text), "j", text),
-            )
+        _check_fields(body, {"duration", "j"}, kind, text, path)
+        return CouplingStep(
+            duration=_number_field(body, "duration", kind, text, path),
+            coupling_j=_number_field(body, "j", kind, text, path),
+        )
     except ValueError as exc:
         if isinstance(exc, ScheduleParseError):
             raise
-        line, col = _locate_key(text, kind)
-        raise ScheduleParseError(f"invalid {kind} step: {exc}", line, col) from exc
-    line, col = _locate_key(text, kind)
-    raise ScheduleParseError(f"unknown step kind {kind!r}", line, col)
+        raise _error(f"invalid {kind} step: {exc}", text, path) from exc
 
 
 def parse_schedule(text: str) -> AnySchedule:
@@ -125,13 +154,11 @@ def parse_schedule(text: str) -> AnySchedule:
 
     version = _require(doc, "version", "schedule file", text)
     if version != FORMAT_VERSION:
-        line, col = _locate_key(text, "version")
-        raise ScheduleParseError(f"unsupported version {version!r}", line, col)
+        raise _error(f"unsupported version {version!r}", text, ("version",))
     kind = _require(doc, "kind", "schedule file", text)
     label = doc.get("label", "")
     if not isinstance(label, str):
-        line, col = _locate_key(text, "label")
-        raise ScheduleParseError("field 'label' must be a string", line, col)
+        raise _error("field 'label' must be a string", text, ("label",))
 
     if kind == "single_qubit":
         _check_fields(
@@ -139,10 +166,12 @@ def parse_schedule(text: str) -> AnySchedule:
         )
         segments = _require(doc, "segments", "schedule file", text)
         if not isinstance(segments, list):
-            line, col = _locate_key(text, "segments")
-            raise ScheduleParseError("field 'segments' must be a list", line, col)
+            raise _error("field 'segments' must be a list", text, ("segments",))
         return Schedule(
-            segments=tuple(_parse_segment(s, text) for s in segments), label=label
+            segments=tuple(
+                _parse_segment(s, text, ("segments", i)) for i, s in enumerate(segments)
+            ),
+            label=label,
         )
     if kind == "two_qubit":
         _check_fields(
@@ -150,17 +179,18 @@ def parse_schedule(text: str) -> AnySchedule:
         )
         mode = _require(doc, "mode", "schedule file", text)
         if mode not in ("natural", "line_selective"):
-            line, col = _locate_key(text, "mode")
-            raise ScheduleParseError(f"unknown mode {mode!r}", line, col)
+            raise _error(f"unknown mode {mode!r}", text, ("mode",))
         steps = _require(doc, "steps", "schedule file", text)
         if not isinstance(steps, list):
-            line, col = _locate_key(text, "steps")
-            raise ScheduleParseError("field 'steps' must be a list", line, col)
+            raise _error("field 'steps' must be a list", text, ("steps",))
         return ConditionalSchedule(
-            steps=tuple(_parse_step(s, text) for s in steps), mode=mode, label=label
+            steps=tuple(
+                _parse_step(s, text, ("steps", i)) for i, s in enumerate(steps)
+            ),
+            mode=mode,
+            label=label,
         )
-    line, col = _locate_key(text, "kind")
-    raise ScheduleParseError(f"unknown kind {kind!r}", line, col)
+    raise _error(f"unknown kind {kind!r}", text, ("kind",))
 
 
 def serialize_schedule(sched: AnySchedule) -> str:

@@ -32,12 +32,20 @@ class InvalidCouplingError(ValueError):
 
 @dataclass(frozen=True)
 class NmrParams:
-    """Frequencies and coupling of the two-spin system."""
+    """Frequencies and coupling of the two-spin system; all finite."""
 
     omega_a: float
     omega_b: float
     coupling_j: float
     accessory: float | None = None
+
+    def __post_init__(self):
+        names = ["omega_a", "omega_b", "coupling_j"]
+        if self.accessory is not None:
+            names.append("accessory")
+        for name in names:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def with_matched_accessory(self) -> "NmrParams":
         """Accessory tuned to omega_a - pi*J: b = down sees zero field."""

@@ -1,8 +1,14 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoloop
 from geoloop.cli import main, parse_angle
 from geoloop.schedule_io import load_schedule, save_schedule, serialize_schedule
 from geoloop.twoqubit import NmrParams, two_qubit_schedule
@@ -148,6 +154,16 @@ class TestVerify:
         assert main(["verify", str(path), "--target", "u2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("body", ["5", "null"])
+    def test_two_qubit_step_body_not_an_object(self, tmp_path, capsys, body):
+        path = tmp_path / "u2.json"
+        path.write_text('{"version": 1, "kind": "two_qubit", "mode": "natural",\n'
+                        f' "steps": [{{"pulse_y": {body}}}]}}')
+        assert main(["verify", str(path), "--target", "u2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "pulse_y step must be an object (line 2, column 13)" in err
+
     def test_controlled_u_from_loop_file(self, loop_file, capsys):
         assert main(["verify", str(loop_file), "--target", "controlled_u:pi/4"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -259,6 +275,15 @@ class TestNoise:
     def test_rejects_two_qubit_target(self, loop_file):
         assert main(["noise", str(loop_file), "--target", "u2"]) == 2
 
+    def test_seeded_output_bytes_pinned(self, loop_file, capsys):
+        # sha256 of the output before sweeps seeded their streams in batches.
+        rc = main(["noise", str(loop_file), "--target", "u_chi:pi/4",
+                   "--sigma-omega", "0.02", "--sigma-tau", "0.01",
+                   "--trials", "300", "--seed", "7"])
+        assert rc == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "16805a8422501402dcc8b8daf62c97dff345892eff945931ffe043f2c73e4e8c"
+
 
 def test_round_trip_through_cli_files(tmp_path):
     loop = tmp_path / "loop.json"
@@ -266,3 +291,13 @@ def test_round_trip_through_cli_files(tmp_path):
           "--out", str(loop)])
     sched = load_schedule(loop)
     assert serialize_schedule(sched) == loop.read_text()
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random is imported only when a sweep draws; importing it up
+    # front would slow every CLI process.
+    code = "import sys, geoloop.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(geoloop.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

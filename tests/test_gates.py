@@ -83,6 +83,16 @@ class TestSingleLoopSchedule:
         with pytest.raises(ValueError):
             single_loop_schedule(0.4, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_rejects_non_finite_frequencies(self, which, bad):
+        # NaN fails every comparison, so "omega <= 0" alone lets it through
+        # to the segment constructor.
+        freqs = [1.0, 1.0]
+        freqs[which] = bad
+        with pytest.raises(ValueError, match="omega and omega2 must be finite and > 0"):
+            single_loop_schedule(0.4, *freqs)
+
     def test_matches_closed_form_on_grid(self):
         rng = np.random.default_rng(13)
         for chi in CHI_GRID:

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoloop.core import ControlSegment, Schedule, schedule_unitary
 from geoloop.gates import single_loop_schedule, u_chi
-from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule
+from geoloop.noise import (
+    SEED_BLOCK,
+    TRIAL_BLOCK,
+    NoiseSpec,
+    _block_draws,
+    _seed_words,
+    fidelity_sweep,
+    perturb_schedule,
+)
 
 LOOP = single_loop_schedule(math.pi / 4, 1.0, 1.0)
 
@@ -136,3 +146,60 @@ class TestFidelitySweep:
         assert result.mean == pytest.approx(arr.mean())
         assert result.minimum == pytest.approx(arr.min())
         assert result.std == pytest.approx(arr.std())
+
+
+# Trial indices around the sweep's block boundaries and at the 32-bit limit.
+TRIAL_INDICES = [0, TRIAL_BLOCK - 1, TRIAL_BLOCK, 1999, 2**32 - 1]
+
+
+def seed_sequence_words(seed, trial):
+    return np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+
+
+class TestBatchedSeeding:
+    """fidelity_sweep hashes the default_rng([seed, i]) seeds in batches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-(2**65), 2**65))
+    @example(0)
+    @example(1)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**63)
+    @example(2**64 - 1)
+    @example(-5)
+    def test_seed_words_match_seed_sequence(self, seed):
+        seed &= 2**64 - 1
+        got = _seed_words(seed, np.array(TRIAL_INDICES))
+        expected = np.array([seed_sequence_words(seed, i) for i in TRIAL_INDICES])
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**40, 2**64 + 3])
+    def test_sweep_draws_match_default_rng(self, seed):
+        # Crosses a seed-hash block as well as trial blocks.
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=SEED_BLOCK + 5, seed=seed)
+        draws = np.concatenate([d for _, d in _block_draws(spec, len(LOOP))])
+        assert draws.shape == (spec.trials, len(LOOP), 2)
+        for trial in [0, TRIAL_BLOCK, SEED_BLOCK - 1, SEED_BLOCK, spec.trials - 1]:
+            rng = np.random.default_rng([seed & (2**64 - 1), trial])
+            assert np.array_equal(draws[trial], rng.standard_normal((len(LOOP), 2)))
+
+    def test_blocks_tile_the_sweep(self):
+        spec = NoiseSpec(sigma_tau=0.1, trials=SEED_BLOCK + TRIAL_BLOCK + 1, seed=3)
+        blocks = [block for block, _ in _block_draws(spec, len(LOOP))]
+        covered = [i for block in blocks for i in range(spec.trials)[block]]
+        assert covered == list(range(spec.trials))
+        assert max(b.stop - b.start for b in blocks) == TRIAL_BLOCK
+
+    def test_perturb_schedule_beyond_32_bit_trial_index(self):
+        spec = NoiseSpec(sigma_omega=0.02, sigma_tau=0.01, trials=1, seed=1234)
+        trial = 2**32 + 5
+        draws = np.random.default_rng([spec.seed, trial]).standard_normal((len(LOOP), 2))
+        got = perturb_schedule(LOOP, spec, trial)
+        expected = [
+            (seg.omega * (1.0 + spec.sigma_omega * eps),
+             seg.duration * (1.0 + spec.sigma_tau * delta))
+            for seg, (eps, delta) in zip(LOOP, draws)
+        ]
+        assert [(s.omega, s.duration) for s in got] == expected

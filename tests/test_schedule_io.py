@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.core import ControlSegment, Schedule
+from geoloop.gates import single_loop_schedule
 from geoloop.schedule_io import (
     ScheduleParseError,
     parse_schedule,
@@ -150,6 +151,135 @@ class TestParseErrors:
         text = '{"version": 1, "kind": "two_qubit", "mode": "magic", "steps": []}'
         with pytest.raises(ScheduleParseError):
             parse_schedule(text)
+
+
+def _token_at(text, exc):
+    """The source text from the error's line and column onwards."""
+    line = text.splitlines()[exc.line - 1]
+    return line[exc.column - 1 :]
+
+
+class TestParseErrorPositions:
+    """Errors inside a segment or step point into that segment or step."""
+
+    def test_bad_omega_in_second_segment(self):
+        text = serialize_schedule(single_loop_schedule(1.0, 1.0, 1.0))
+        lines = text.splitlines()
+        assert lines[20].strip() == '"omega": 1.0,'
+        lines[20] = lines[20].replace("1.0", '"x"')
+        text = "\n".join(lines)
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == "field 'omega' must be a number (line 21, column 7)"
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration", '"slow"', "field 'duration' must be a number"),
+            ("axis", "[1, 0]", "field 'axis' must be a 3-element list"),
+            ("axis", "[1, 1, 1]", "invalid segment"),
+            ("colour", '"red"', "unknown field 'colour' in segment"),
+        ],
+    )
+    def test_points_at_key_of_offending_segment(self, index, field, value, message):
+        obj = json.loads(serialize_schedule(single_loop_schedule(0.3, 1.0, 2.0)))
+        segments = [json.dumps(seg) for seg in obj["segments"]]
+        seg = obj["segments"][index]
+        seg[field] = "@"
+        segments[index] = json.dumps(seg).replace('"@"', value)
+        text = (
+            '{"version": 1, "kind": "single_qubit", "label": "",\n "segments": [\n  '
+            + ",\n  ".join(segments)
+            + "\n]}"
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert message in str(exc.value)
+        assert exc.value.line == 3 + index
+        assert _token_at(text, exc.value).startswith(f'"{field}": {value}')
+
+    def test_missing_field_points_at_its_segment(self):
+        text = (
+            '{"version": 1, "kind": "single_qubit", "segments": [\n'
+            '  {"axis": [0, 0, 1], "omega": 1, "duration": 1},\n'
+            '  {"axis": [0, 0, 1], "duration": 1}]}'
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert "missing field 'omega' in segment" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_label_naming_a_field_is_not_the_field(self):
+        text = (
+            '{"version": 1, "kind": "single_qubit", "label": "omega",\n'
+            ' "segments": [{"axis": [0, 0, 1], "omega": "x", "duration": 1}]}'
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert exc.value.line == 2
+        assert _token_at(text, exc.value).startswith('"omega": "x"')
+
+    def test_duplicate_key_points_at_the_value_that_counts(self):
+        # json.loads keeps the last of duplicate keys; so does the position.
+        text = (
+            '{"version": 1, "kind": "single_qubit",\n'
+            ' "segments": [{"axis": [0, 0, 1], "omega": 1, "omega": "x", "duration": 1}]}'
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert _token_at(text, exc.value).startswith('"omega": "x"')
+
+    @pytest.mark.parametrize(
+        "bad_step, token, message",
+        [
+            ('{"pulse_y": {"omega": "x", "duration": 1}}', '"omega": "x"',
+             "field 'omega' must be a number"),
+            ('{"pulse_y": {"omega": 1, "duration": -1}}', '"pulse_y"',
+             "invalid pulse_y step"),
+            ('{"pulse_y": {"omega": 1}}', '"pulse_y"',
+             "missing field 'duration' in pulse_y"),
+            ('{"coupling": {"duration": "x", "j": 0.5}}', '"duration": "x"',
+             "field 'duration' must be a number"),
+            ('{"pulse_y": {"omega": 1, "duration": 1, "phase": 0}}', '"phase"',
+             "unknown field 'phase' in pulse_y"),
+        ],
+    )
+    def test_points_into_offending_step(self, bad_step, token, message):
+        good = '{"pulse_y": {"omega": 1, "duration": 1}}'
+        coupling = '{"coupling": {"duration": 1, "j": 0.5}}'
+        text = (
+            '{"version": 1, "kind": "two_qubit", "mode": "natural", "steps": [\n'
+            f"  {good},\n  {coupling},\n  {bad_step}]}}"
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert message in str(exc.value)
+        assert exc.value.line == 4
+        assert _token_at(text, exc.value).startswith(token)
+
+    def test_escaped_key_is_found(self):
+        text = (
+            '{"version": 1, "kind": "single_qubit", "segments": [\n'
+            '  {"axis": [0, 0, 1], "\\u006fmega": "x", "duration": 1}]}'
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert "field 'omega' must be a number" in str(exc.value)
+        assert _token_at(text, exc.value).startswith('"\\u006fmega"')
+
+    @pytest.mark.parametrize("body", ["5", "null", '"ab"', "[1]"])
+    @pytest.mark.parametrize("kind", ["pulse_y", "coupling"])
+    def test_step_body_must_be_an_object(self, kind, body):
+        # A number or null body used to escape as a TypeError.
+        text = (
+            '{"version": 1, "kind": "two_qubit", "mode": "natural", "steps": [\n'
+            f'  {{"{kind}": {body}}}]}}'
+        )
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert f"{kind} step must be an object" in str(exc.value)
+        assert _token_at(text, exc.value).startswith(f'"{kind}"')
 
 
 def test_serialize_rejects_non_y_pulse_steps():

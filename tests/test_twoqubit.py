@@ -58,6 +58,24 @@ class TestNmrHamiltonian:
             assert np.max(np.abs(h @ op - op @ h)) == 0.0
 
 
+class TestNmrParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega_a", "omega_b", "coupling_j", "accessory"])
+    def test_rejects_non_finite(self, field, bad):
+        # NmrParams(nan, 1, 0.5) gave an all-NaN Hamiltonian and NaN fields.
+        values = dict(omega_a=1.0, omega_b=1.0, coupling_j=0.5, accessory=0.2)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            NmrParams(**values)
+
+    def test_accessory_may_be_unset(self):
+        assert NmrParams(1.0, 2.0, 0.5).accessory is None
+
+    def test_matched_accessory_of_non_finite_params_is_unreachable(self):
+        with pytest.raises(ValueError):
+            NmrParams(math.nan, 1.0, 0.5).with_matched_accessory()
+
+
 class TestEffectiveFieldA:
     def test_matched_accessory_up(self):
         c = effective_field_a(PARAMS, "up")
