@@ -20,6 +20,7 @@ from .core import Schedule, schedule_unitary, state_from_angles
 from .twoqubit import (
     ConditionalSchedule,
     controlled_u_reference,
+    line_selective_unitary,
     two_qubit_unitary,
     u2_line_selective,
     u2_natural,
@@ -89,19 +90,12 @@ def _actual_unitary(sched, target_name: str) -> np.ndarray:
     if isinstance(sched, ConditionalSchedule):
         return two_qubit_unitary(sched)
     if target_name.startswith("controlled_u"):
-        # A single-qubit loop run line-selectively realizes the controlled gate.
-        cond = ConditionalSchedule(
-            steps=sched.segments, mode="line_selective", label=sched.label
-        )
-        return two_qubit_unitary(cond)
+        return line_selective_unitary(sched)
     return schedule_unitary(sched)
 
 
 def cmd_synthesize(args) -> int:
-    chi = parse_angle(args.chi)
-    if not 0.0 <= chi <= math.pi / 2:
-        raise CliError("chi out of range [0, pi/2]")
-    sched = gates.single_loop_schedule(chi, args.omega, args.omega2)
+    sched = gates.single_loop_schedule(parse_angle(args.chi), args.omega, args.omega2)
     try:
         schedule_io.save_schedule(sched, args.out)
     except OSError as exc:
@@ -147,8 +141,6 @@ def cmd_export_path(args) -> int:
     sched = _load(args.schedule)
     if isinstance(sched, ConditionalSchedule):
         raise CliError("path export is defined for single-qubit schedules")
-    if args.samples < 2:
-        raise CliError("samples must be >= 2")
     initial = state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
     path = phases.sample_path(sched, initial, args.samples)
     rows = np.column_stack((path.times(), path.points()))

@@ -23,7 +23,15 @@ NORM_TOL = 1e-12
 STATE_INPUT_TOL = 1e-9
 
 
-class NonUnitAxisError(ValueError):
+class InvalidFieldError(ValueError):
+    """A constructor rejected the value of one field, named by ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class NonUnitAxisError(InvalidFieldError):
     """Rotation axis is not a unit vector."""
 
 
@@ -72,12 +80,23 @@ class BlochVector:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
+def check_duration(omega: float, duration: float) -> None:
+    """Require a finite duration >= 0 and a finite rotation angle omega * duration."""
+    if not 0.0 <= duration < math.inf:
+        message = f"duration must be finite and >= 0, got {duration}"
+    elif not math.isfinite(float(omega) * float(duration)):  # finite factors can overflow
+        message = f"rotation angle {omega!r} * {duration!r} is not finite"
+    else:
+        return
+    raise InvalidFieldError("duration", message)
+
+
 @dataclass(frozen=True)
 class ControlSegment:
     """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
 
     Zero-duration segments are legal and act as the identity. NaN and
-    infinite values are rejected.
+    infinite values, and an overflowing angle omega * duration, are rejected.
     """
 
     axis: tuple[float, float, float]
@@ -87,14 +106,15 @@ class ControlSegment:
     def __post_init__(self):
         ax = tuple(float(c) for c in self.axis)
         if len(ax) != 3:
-            raise NonUnitAxisError(f"axis must have 3 components, got {len(ax)}")
+            raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
         norm = math.sqrt(sum(c * c for c in ax))
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
-            raise NonUnitAxisError(f"axis norm {norm!r} differs from 1")
+            raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
         if not 0.0 <= self.omega < math.inf:
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+            raise InvalidFieldError(
+                "omega", f"omega must be finite and >= 0, got {self.omega}"
+            )
+        check_duration(self.omega, self.duration)
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "duration", float(self.duration))
@@ -125,13 +145,12 @@ class Schedule:
         return iter(self.segments)
 
 
-def reduce_angle(theta: float) -> float:
-    """Reduce an angle to [-pi, pi).
-
-    Inputs anywhere on the real line are accepted; they are folded mod 2*pi
-    before use instead of being rejected.
-    """
-    return math.remainder(theta, 2.0 * math.pi)
+def wrap_phase(theta: float) -> float:
+    """Reduce an angle or phase to the branch (-pi, pi]."""
+    w = math.remainder(theta, 2.0 * math.pi)
+    if w == -math.pi:
+        w = math.pi
+    return w
 
 
 def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitState:
@@ -139,12 +158,12 @@ def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitStat
 
     The plus branch points along (chi, phi) on the Bloch sphere, the minus
     branch is its orthogonal complement (antipodal point). Angles outside
-    the nominal ranges are reduced mod 2*pi.
+    the nominal ranges are reduced mod 2*pi to (-pi, pi].
     """
     if not (math.isfinite(chi) and math.isfinite(phi)):
         raise ValueError("chi and phi must be finite")
-    chi = reduce_angle(chi)
-    phi = reduce_angle(phi)
+    chi = wrap_phase(chi)
+    phi = wrap_phase(phi)
     c, s = math.cos(chi / 2), math.sin(chi / 2)
     em = np.exp(-0.5j * phi)
     ep = np.exp(0.5j * phi)

@@ -59,6 +59,12 @@ def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
     )
 
 
+def check_chi(chi: float) -> None:
+    """Require chi in [0, pi/2], the range of the single-loop gate."""
+    if not 0.0 <= chi <= math.pi / 2:
+        raise ChiOutOfRangeError(f"chi out of range [0, pi/2], got {chi}")
+
+
 def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     """Four-segment loop realizing the geometric gate u_chi(chi).
 
@@ -66,8 +72,7 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
     legal zero-duration identity.
     """
-    if not 0.0 <= chi <= math.pi / 2:
-        raise ChiOutOfRangeError(f"chi must be in [0, pi/2], got {chi}")
+    check_chi(chi)
     if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
         raise ValueError("omega and omega2 must be finite and > 0")
     return Schedule(

@@ -17,14 +17,11 @@ import numpy as np
 
 from .core import ControlSegment, Schedule, drive_arrays, ordered_product, su2
 
-# Trials propagated together by fidelity_sweep. Blocks keep a sweep's
-# temporaries near 100 kB however many trials it runs, while still
-# amortizing numpy's per-call cost over hundreds of trials.
-TRIAL_BLOCK = 128
-# Trials whose stream seeds are hashed together. A hash call costs about
-# 0.1 ms however few trials it covers, so hashing per TRIAL_BLOCK would
-# cost four times as much; at 512 trials its temporaries stay near 100 kB.
-SEED_BLOCK = 4 * TRIAL_BLOCK
+# Trials seeded and propagated together by fidelity_sweep. A seed-hash
+# call costs about 0.1 ms however few trials it covers, so blocks amortize
+# it and numpy's per-call cost over hundreds of trials, while keeping a
+# sweep's temporaries under 0.5 MB however many trials it runs.
+TRIAL_BLOCK = 512
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -44,6 +41,8 @@ class NoiseSpec:
             raise ValueError("sigmas must be finite and >= 0")
         if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
+        if not self.trials <= 2**32:  # a trial index is one 32-bit seed word
+            raise ValueError("trials must be <= 2**32")
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,16 @@ def _perturbed_drives(
     draws has shape (trials, len(sched), 2) and holds each segment's
     (eps, delta): omega -> omega * (1 + sigma_omega * eps), tau -> tau *
     (1 + sigma_tau * delta), clamped at zero so segment invariants survive
-    large draws. Both arrays have shape (trials, len(sched)).
+    large draws. Both arrays have shape (trials, len(sched)). A draw whose
+    angle omega * tau overflows raises ValueError, not a warning.
     """
     omega = np.array([seg.omega for seg in sched], dtype=float)
     tau = np.array([seg.duration for seg in sched], dtype=float)
-    omega = np.maximum(omega * (1.0 + spec.sigma_omega * draws[..., 0]), 0.0)
-    tau = np.maximum(tau * (1.0 + spec.sigma_tau * draws[..., 1]), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = np.maximum(omega * (1.0 + spec.sigma_omega * draws[..., 0]), 0.0)
+        tau = np.maximum(tau * (1.0 + spec.sigma_tau * draws[..., 1]), 0.0)
+        if not np.isfinite(omega * tau).all():
+            raise ValueError("a perturbed rotation angle omega * tau is not finite")
     return omega, tau
 
 
@@ -185,40 +188,26 @@ def _seed_rows_type() -> type:
     return SeedRows
 
 
-def _trial_draws(seed_words: np.ndarray, segments: int) -> np.ndarray:
-    """(eps, delta) per segment, in that order, for each row of seed words.
-
-    Row i seeds a PCG64 exactly as default_rng([seed, i]) does, and that
-    stream's standard normals fill draws[i], shape (segments, 2).
-    """
-    from numpy.random import PCG64, Generator
-
-    rows = _seed_rows_type()(seed_words)
-    draws = np.empty((len(seed_words), segments, 2))
-    for row in draws:
-        Generator(PCG64(rows)).standard_normal(out=row)
-    return draws
-
-
 def _block_draws(spec: NoiseSpec, segments: int):
     """Yield (trial slice, draws) for every TRIAL_BLOCK of the sweep.
 
-    draws are what ``perturb_schedule`` draws for each trial of the slice,
-    zeros when both sigmas are zero; the streams' seed words are hashed
-    SEED_BLOCK trials at a time.
+    draws[i] holds trial i's (eps, delta) per segment, in that order: the
+    standard normals of a PCG64 seeded exactly as default_rng([seed, i]),
+    which is what ``perturb_schedule`` draws, or zeros when both sigmas are
+    zero. The streams' seed words are hashed one block at a time.
     """
     noisy = spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
-    for chunk in range(0, spec.trials, SEED_BLOCK):
-        chunk_stop = min(chunk + SEED_BLOCK, spec.trials)
+    for start in range(0, spec.trials, TRIAL_BLOCK):
+        stop = min(start + TRIAL_BLOCK, spec.trials)
+        draws = np.zeros((stop - start, segments, 2))
         if noisy:
-            words = _seed_words(spec.seed & _MASK64, np.arange(chunk, chunk_stop))
-        for start in range(chunk, chunk_stop, TRIAL_BLOCK):
-            stop = min(start + TRIAL_BLOCK, chunk_stop)
-            if noisy:
-                draws = _trial_draws(words[start - chunk:stop - chunk], segments)
-            else:
-                draws = np.zeros((stop - start, segments, 2))
-            yield slice(start, stop), draws
+            from numpy.random import PCG64, Generator
+
+            words = _seed_words(spec.seed & _MASK64, np.arange(start, stop))
+            rows = _seed_rows_type()(words)
+            for row in draws:
+                Generator(PCG64(rows)).standard_normal(out=row)
+        yield slice(start, stop), draws
 
 
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:

@@ -8,7 +8,6 @@ minus half the enclosed solid angle.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .core import (
     drive_arrays,
     propagate,
     su2,
+    wrap_phase,
 )
 
 DEFAULT_CYCLIC_TOL = 1e-9
@@ -106,14 +106,6 @@ class PathSamples(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         return float(self._t[index]), BlochVector(*self._r[index].tolist())
-
-
-def wrap_phase(theta: float) -> float:
-    """Reduce a phase to the branch (-pi, pi]."""
-    w = math.remainder(theta, 2.0 * math.pi)
-    if w == -math.pi:
-        w = math.pi
-    return w
 
 
 def is_cyclic(sched: Schedule, initial: QubitState, tol: float = DEFAULT_CYCLIC_TOL) -> bool:

@@ -12,7 +12,7 @@ import json
 from json.decoder import WHITESPACE
 from typing import Union
 
-from .core import ControlSegment, Schedule
+from .core import ControlSegment, InvalidFieldError, Schedule
 from .twoqubit import ConditionalSchedule, CouplingStep
 
 FORMAT_VERSION = 1
@@ -96,6 +96,15 @@ def _number_field(obj: dict, key: str, context: str, text: str, path: tuple) -> 
     return _number(_require(obj, key, context, text, path), key, text, path)
 
 
+def _construct(cls, prefix: str, text: str, path: tuple, **fields):
+    """cls(**fields), with a rejected field reported at its key under path."""
+    try:
+        return cls(**fields)
+    except InvalidFieldError as exc:
+        key = "j" if exc.field == "coupling_j" else exc.field  # the file's name
+        raise _error(f"{prefix}{exc}", text, path + (key,)) from exc
+
+
 def _parse_segment(obj, text: str, path: tuple) -> ControlSegment:
     if not isinstance(obj, dict):
         raise _error("segment must be an object", text, path)
@@ -103,16 +112,12 @@ def _parse_segment(obj, text: str, path: tuple) -> ControlSegment:
     axis = _require(obj, "axis", "segment", text, path)
     if not (isinstance(axis, list) and len(axis) == 3):
         raise _error("field 'axis' must be a 3-element list", text, path + ("axis",))
-    try:
-        return ControlSegment(
-            axis=tuple(_number(c, "axis", text, path) for c in axis),
-            omega=_number_field(obj, "omega", "segment", text, path),
-            duration=_number_field(obj, "duration", "segment", text, path),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScheduleParseError):
-            raise
-        raise _error(f"invalid segment: {exc}", text, path + ("axis",)) from exc
+    return _construct(
+        ControlSegment, "invalid segment: ", text, path,
+        axis=tuple(_number(c, "axis", text, path) for c in axis),
+        omega=_number_field(obj, "omega", "segment", text, path),
+        duration=_number_field(obj, "duration", "segment", text, path),
+    )
 
 
 def _parse_step(obj, text: str, path: tuple):
@@ -124,23 +129,21 @@ def _parse_step(obj, text: str, path: tuple):
         raise _error(f"unknown step kind {kind!r}", text, path)
     if not isinstance(body, dict):
         raise _error(f"{kind} step must be an object", text, path)
-    try:
-        if kind == "pulse_y":
-            _check_fields(body, {"omega", "duration"}, kind, text, path)
-            return ControlSegment(
-                axis=(0, 1, 0),
-                omega=_number_field(body, "omega", kind, text, path),
-                duration=_number_field(body, "duration", kind, text, path),
-            )
-        _check_fields(body, {"duration", "j"}, kind, text, path)
-        return CouplingStep(
+    prefix = f"invalid {kind} step: "
+    if kind == "pulse_y":
+        _check_fields(body, {"omega", "duration"}, kind, text, path)
+        return _construct(
+            ControlSegment, prefix, text, path,
+            axis=(0, 1, 0),
+            omega=_number_field(body, "omega", kind, text, path),
             duration=_number_field(body, "duration", kind, text, path),
-            coupling_j=_number_field(body, "j", kind, text, path),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScheduleParseError):
-            raise
-        raise _error(f"invalid {kind} step: {exc}", text, path) from exc
+    _check_fields(body, {"duration", "j"}, kind, text, path)
+    return _construct(
+        CouplingStep, prefix, text, path,
+        duration=_number_field(body, "duration", kind, text, path),
+        coupling_j=_number_field(body, "j", kind, text, path),
+    )
 
 
 def parse_schedule(text: str) -> AnySchedule:
@@ -178,12 +181,11 @@ def parse_schedule(text: str) -> AnySchedule:
             doc, {"version", "kind", "label", "steps", "mode"}, "schedule file", text
         )
         mode = _require(doc, "mode", "schedule file", text)
-        if mode not in ("natural", "line_selective"):
-            raise _error(f"unknown mode {mode!r}", text, ("mode",))
         steps = _require(doc, "steps", "schedule file", text)
         if not isinstance(steps, list):
             raise _error("field 'steps' must be a list", text, ("steps",))
-        return ConditionalSchedule(
+        return _construct(
+            ConditionalSchedule, "", text, (),
             steps=tuple(
                 _parse_step(s, text, ("steps", i)) for i, s in enumerate(steps)
             ),

@@ -16,8 +16,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import ControlSegment, IDENTITY_2, SIGMA_Z, ordered_product, su2
-from .gates import ChiOutOfRangeError, single_loop_schedule, u_chi
+from .core import ControlSegment, IDENTITY_2, InvalidFieldError, SIGMA_Z, Schedule
+from .core import check_duration, drive_arrays, ordered_product, su2
+from .gates import check_chi, single_loop_schedule, u_chi
 
 IDENTITY_4 = np.eye(4, dtype=complex)
 
@@ -26,7 +27,7 @@ class MissingAccessoryError(ValueError):
     """No accessory-field frequency set on the parameters."""
 
 
-class InvalidCouplingError(ValueError):
+class InvalidCouplingError(InvalidFieldError):
     """Coupling constant J must be positive to define the coupling interval."""
 
 
@@ -63,19 +64,27 @@ class CouplingStep:
 
     In the effective (accessory-dressed) picture this applies
     exp(-i * pi * J * sigma_z * duration) on qubit a when b is up and the
-    identity when b is down. NaN and infinite values are rejected.
+    identity when b is down: a z rotation at 2 pi J, which ``axis`` and
+    ``omega`` expose as a ControlSegment does. NaN and infinite values, and
+    an overflowing angle 2 pi J * duration, are rejected.
     """
 
     duration: float
     coupling_j: float
 
+    axis = (0.0, 0.0, 1.0)
+
     def __post_init__(self):
         if not 0.0 < self.coupling_j < math.inf:
             raise InvalidCouplingError(
-                f"coupling_j must be finite and > 0, got {self.coupling_j}"
+                "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
             )
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+        check_duration(self.omega, self.duration)
+
+    @property
+    def omega(self) -> float:
+        """Angular frequency 2 pi J of the effective z rotation."""
+        return 2.0 * math.pi * self.coupling_j
 
 
 ConditionalStep = Union[ControlSegment, CouplingStep]
@@ -96,7 +105,7 @@ class ConditionalSchedule:
 
     def __post_init__(self):
         if self.mode not in ("natural", "line_selective"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidFieldError("mode", f"unknown mode {self.mode!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
@@ -136,7 +145,9 @@ def two_qubit_schedule(
     Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega).
     """
     if p.coupling_j <= 0:
-        raise InvalidCouplingError(f"coupling_j must be > 0, got {p.coupling_j}")
+        raise InvalidCouplingError(
+            "coupling_j", f"coupling_j must be > 0, got {p.coupling_j}"
+        )
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     y_pulse = ControlSegment(axis=(0, 1, 0), omega=omega, duration=math.pi / (2 * omega))
@@ -159,37 +170,26 @@ def two_qubit_unitary(sched: ConditionalSchedule) -> np.ndarray:
     in natural mode and on the b = up block alone in line-selective mode.
     The two 2x2 blocks come from one ``su2`` call and are assembled once.
     """
+    steps = su2(*drive_arrays(sched.steps))
     natural = sched.mode == "natural"
-    axes, theta, acts_on_down = [], [], []
-    for step in sched.steps:
-        if isinstance(step, CouplingStep):
-            axes.append((0.0, 0.0, 1.0))
-            theta.append(2.0 * math.pi * step.coupling_j * step.duration)
-            acts_on_down.append(False)
-        else:
-            axes.append(step.axis)
-            theta.append(step.omega * step.duration)
-            acts_on_down.append(natural)
-    steps = su2(np.reshape(axes, (-1, 3)), theta)
+    on_down = [natural and isinstance(step, ControlSegment) for step in sched.steps]
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = ordered_product(steps)
-    u[2:, 2:] = ordered_product(steps[acts_on_down])
+    u[2:, 2:] = ordered_product(steps[on_down])
     return u
 
 
-def controlled_u(chi: float, omega: float, omega2: float) -> np.ndarray:
-    """Controlled geometric gate: u_chi(chi) on b = up, identity on b = down.
+def line_selective_unitary(sched: Schedule) -> np.ndarray:
+    """4x4 gate of a single-qubit schedule driven on qubit a line-selectively.
 
-    Built by running the full single-loop drive on qubit a under
-    line-selective conditioning.
+    Its gate acts on b = up, the identity on b = down: a controlled gate.
     """
-    loop = single_loop_schedule(chi, omega, omega2)  # raises ChiOutOfRangeError
-    cond = ConditionalSchedule(
-        steps=loop.segments,
-        mode="line_selective",
-        label=f"controlled u_chi chi={chi:.12g}",
-    )
-    return two_qubit_unitary(cond)
+    return two_qubit_unitary(ConditionalSchedule(sched.segments, "line_selective"))
+
+
+def controlled_u(chi: float, omega: float, omega2: float) -> np.ndarray:
+    """Controlled geometric gate: u_chi(chi) on b = up, identity on b = down."""
+    return line_selective_unitary(single_loop_schedule(chi, omega, omega2))
 
 
 def u2_natural() -> np.ndarray:
@@ -220,8 +220,7 @@ def u2_line_selective() -> np.ndarray:
 
 def controlled_u_reference(chi: float) -> np.ndarray:
     """Directly assembled controlled gate: u_chi block plus identity block."""
-    if not 0.0 <= chi <= math.pi / 2:
-        raise ChiOutOfRangeError(f"chi must be in [0, pi/2], got {chi}")
+    check_chi(chi)
     u = IDENTITY_4.copy()
     u[:2, :2] = u_chi(chi)
     return u

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +74,27 @@ class TestInputErrors:
              "--trials", "2"],
             ["noise", "{loop}", "--target", "u_chi:pi/4", "--sigma-omega", "inf",
              "--trials", "2"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--sigma-omega", "1e308",
+             "--trials", "2"],
+            ["noise", "{loop}", "--target", "u_chi:pi/4", "--trials", str(2**32 + 1)],
+            # omega and duration are finite, their product omega * duration is not
+            ["verify", "{huge}", "--target", "u_chi:pi/4"],
+            ["noise", "{huge}", "--target", "u_chi:pi/4", "--trials", "2"],
+            ["phase", "{huge}", "--chi", "pi/4"],
+            ["export-path", "{huge}", "--chi", "pi/4", "--out", "{tmp}/p.csv"],
         ],
     )
     def test_exits_2(self, loop_file, tmp_path, capsys, argv):
-        argv = [a.format(loop=loop_file, tmp=tmp_path) for a in argv]
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"version": 1, "kind": "single_qubit", "segments": [\n'
+                        '  {"axis": [0, 0, 1], "omega": 1e200, "duration": 1e200}]}')
+        argv = [a.format(loop=loop_file, tmp=tmp_path, huge=huge) for a in argv]
         capsys.readouterr()
-        rc = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
         captured = capsys.readouterr()
+        assert not caught
         assert rc == 2
         assert "nan" not in captured.out.lower()
         assert captured.err.startswith("error: ")
@@ -301,3 +316,101 @@ def test_cli_import_does_not_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "False"
+
+
+GOLDEN_STDOUT = {
+    # argv -> sha256 of stdout, recorded before schedule validation moved
+    # into the constructors; every one of these commands exits 0.
+    "verify loop.json --target u_chi:pi/4":
+        "81bd120cb6f2160070b7ceea50c07e80bb6639c4a3e1f677d3702cb223b61d4f",
+    "verify loop.json --target controlled_u:pi/4":
+        "81bd120cb6f2160070b7ceea50c07e80bb6639c4a3e1f677d3702cb223b61d4f",
+    "verify u2.json --target u2":
+        "a432bb5e179ad55b1ec2c578c2ffa5df12a2da380a9c43af6f2d477a8764c7ec",
+    "verify u2p.json --target u2_prime":
+        "ac29e039c61a51a993f3dcb77f0ec017844c948c6e849f4fa39b8ade3b6e2158",
+    "phase loop.json --chi pi/4":
+        "2e0a675eb1613b09bdfc23eb4edfbed9944625f105dc6362c076f4502d8f64f7",
+    "export-path loop.json --chi pi/4 --samples 50 --out path.csv":
+        "18138a12beba462ef02ae33fd1b0d5f5a9c2437f4dcc5bf912767e90d3b8ce54",
+}
+
+GOLDEN_FILES = {
+    # file written by the setup's synthesize and by the export-path case above
+    "loop.json": "8875acd186501e66f391caf2c57155bf5fdde7bd7d1928c45ccb66ef1d79b847",
+    "path.csv": "8d9059df96167f4495ebb6adda6857c0491708c33f05f20456d99a3c46f71dfe",
+}
+
+GOLDEN_ERRORS = {
+    # argv -> (exit code, stderr); nothing is printed on stdout
+    "verify loop.json --target hadamard": (2, "error: unknown target 'hadamard'\n"),
+    "verify loop.json --target u2":
+        (2, "error: schedule produces a 2x2 gate but target 'u2' is 4x4\n"),
+    "phase u2.json --chi 0":
+        (2, "error: phase reports are defined for single-qubit schedules\n"),
+    "phase loop.json --chi nan": (2, "error: angle 'nan' is not finite\n"),
+    "phase loop.json --chi 0": (1, "initial state not cyclic\n"),
+    "noise loop.json --target u_chi:pi/4 --trials 0": (2, "error: trials must be >= 1\n"),
+    "noise loop.json --target u_chi:pi/4 --sigma-tau -1":
+        (2, "error: sigmas must be finite and >= 0\n"),
+    "noise loop.json --target u2":
+        (2, "error: noise sweeps need a single-qubit target (u_chi:...)\n"),
+    "synthesize --chi pi/4 --omega nan --omega2 1 --out s.json":
+        (2, "error: omega and omega2 must be finite and > 0\n"),
+    "verify missing.json --target u2":
+        (2, "error: cannot read missing.json: [Errno 2] No such file or directory: "
+            "'missing.json'\n"),
+    "verify broken.json --target u2":
+        (2, "error: broken.json: Expecting property name enclosed in double quotes "
+            "(line 1, column 2)\n"),
+    "verify unknown.json --target u_chi:0":
+        (2, "error: unknown.json: unknown field 'phase' in segment (line 2, column 50)\n"),
+    "verify axis.json --target u_chi:0":
+        (2, "error: axis.json: invalid segment: axis norm 1.7320508075688772 differs "
+            "from 1 (line 2, column 16)\n"),
+    "verify mode.json --target u2":
+        (2, "error: mode.json: unknown mode 'magic' (line 1, column 37)\n"),
+}
+
+
+class TestGoldenBytes:
+    """CLI output bytes, pinned; file names are relative to the working directory."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main("synthesize --chi pi/4 --omega 1.0 --omega2 1.0 --out loop.json"
+                    .split()) == 0
+        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
+        save_schedule(two_qubit_schedule(1.0, p, "natural"), "u2.json")
+        save_schedule(two_qubit_schedule(1.0, p, "line_selective"), "u2p.json")
+        head = '{"version": 1, "kind": "single_qubit", "segments": [\n  '
+        (tmp_path / "broken.json").write_text("{broken")
+        (tmp_path / "unknown.json").write_text(
+            head + '{"axis": [0, 0, 1], "omega": 1, "duration": 1, "phase": 0}]}')
+        (tmp_path / "axis.json").write_text(
+            head + '{"omega": 1, "axis": [1, 1, 1], "duration": 1}]}')
+        (tmp_path / "mode.json").write_text(
+            '{"version": 1, "kind": "two_qubit", "mode": "magic", "steps": []}')
+
+    @pytest.mark.parametrize("argv", GOLDEN_STDOUT)
+    def test_stdout(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+    def test_written_files(self):
+        assert main("export-path loop.json --chi pi/4 --samples 50 --out path.csv"
+                    .split()) == 0
+        for name, digest in GOLDEN_FILES.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", GOLDEN_ERRORS)
+    def test_errors(self, capsys, argv):
+        capsys.readouterr()
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == GOLDEN_ERRORS[argv]
+        assert captured.out == ""

@@ -95,6 +95,13 @@ class TestStateFromAngles:
         minus = state_from_angles(chi, phi, "minus")
         assert abs(plus.inner(minus)) <= TOL
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_minus_pi_and_pi_are_one_angle(self, branch):
+        # Angles fold to (-pi, pi], so -pi and pi give the same amplitudes.
+        for chi, phi in [(-math.pi, 0.3), (0.3, -math.pi), (-math.pi, -math.pi)]:
+            folded = state_from_angles(abs(chi), abs(phi), branch)
+            assert state_from_angles(chi, phi, branch) == folded
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             state_from_angles(math.nan, 0.0)
@@ -193,6 +200,21 @@ class TestSegmentUnitary:
         kwargs = {"axis": (0, 0, 1), "omega": 1.0, "duration": 1.0, field: bad}
         with pytest.raises(ValueError):
             ControlSegment(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"axis": (1, 1, 0)}, "axis"),
+            ({"omega": -1.0}, "omega"),
+            ({"duration": math.nan}, "duration"),
+            # each value is finite, the rotation angle omega * duration is not
+            ({"omega": 1e200, "duration": 1e200}, "duration"),
+        ],
+    )
+    def test_names_the_failing_field(self, kwargs, field):
+        with pytest.raises(ValueError) as exc:
+            ControlSegment(**{"axis": (0, 0, 1), "omega": 1.0, "duration": 1.0, **kwargs})
+        assert exc.value.field == field
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_axis(self, bad):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from geoloop.core import ControlSegment, Schedule, schedule_unitary
 from geoloop.gates import single_loop_schedule, u_chi
 from geoloop.noise import (
-    SEED_BLOCK,
     TRIAL_BLOCK,
     NoiseSpec,
     _block_draws,
+    _perturbed_drives,
     _seed_words,
     fidelity_sweep,
     perturb_schedule,
@@ -66,6 +66,22 @@ class TestPerturbSchedule:
         with pytest.raises(ValueError):
             NoiseSpec(trials=0)
 
+    def test_trials_fit_the_32_bit_seed_word(self):
+        # A trial index is one 32-bit word of its stream's seed.
+        assert NoiseSpec(trials=2**32).trials == 2**32
+        with pytest.raises(ValueError):
+            NoiseSpec(trials=2**32 + 1)
+
+    def test_rejects_overflowing_perturbed_angle(self):
+        spec = NoiseSpec(sigma_omega=1e308)
+        draws = np.full((1, len(LOOP), 2), 2.0)
+        with pytest.raises(ValueError, match="not finite"):
+            _perturbed_drives(LOOP, spec, draws)
+        # A draw that overflows downwards is clamped at zero, like any other.
+        omega, tau = _perturbed_drives(LOOP, spec, -draws)
+        assert omega.tolist() == [[0.0] * len(LOOP)]
+        assert tau.tolist() == [[seg.duration for seg in LOOP]]
+
     @pytest.mark.parametrize("field", ["sigma_omega", "sigma_tau"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sigma(self, field, bad):
@@ -112,8 +128,10 @@ class TestFidelitySweep:
         "sigma_omega, sigma_tau", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.3), (0.02, 0.01), (1.0, 1.0)]
     )
     def test_every_trial_matches_perturbed_schedule(self, sigma_omega, sigma_tau):
-        # 300 trials cross the sweep's internal trial blocks.
-        spec = NoiseSpec(sigma_omega=sigma_omega, sigma_tau=sigma_tau, trials=300, seed=31)
+        # The trials cross the sweep's internal trial blocks.
+        spec = NoiseSpec(
+            sigma_omega=sigma_omega, sigma_tau=sigma_tau, trials=TRIAL_BLOCK + 88, seed=31
+        )
         target = u_chi(0.3)
         result = fidelity_sweep(LOOP, target, spec)
         assert len(result.fidelities) == spec.trials
@@ -177,16 +195,16 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("seed", [0, -5, 2**40, 2**64 + 3])
     def test_sweep_draws_match_default_rng(self, seed):
-        # Crosses a seed-hash block as well as trial blocks.
-        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=SEED_BLOCK + 5, seed=seed)
+        # Crosses a trial block, whose seeds are hashed together.
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 5, seed=seed)
         draws = np.concatenate([d for _, d in _block_draws(spec, len(LOOP))])
         assert draws.shape == (spec.trials, len(LOOP), 2)
-        for trial in [0, TRIAL_BLOCK, SEED_BLOCK - 1, SEED_BLOCK, spec.trials - 1]:
+        for trial in [0, TRIAL_BLOCK // 4, TRIAL_BLOCK - 1, TRIAL_BLOCK, spec.trials - 1]:
             rng = np.random.default_rng([seed & (2**64 - 1), trial])
             assert np.array_equal(draws[trial], rng.standard_normal((len(LOOP), 2)))
 
     def test_blocks_tile_the_sweep(self):
-        spec = NoiseSpec(sigma_tau=0.1, trials=SEED_BLOCK + TRIAL_BLOCK + 1, seed=3)
+        spec = NoiseSpec(sigma_tau=0.1, trials=2 * TRIAL_BLOCK + 1, seed=3)
         blocks = [block for block, _ in _block_draws(spec, len(LOOP))]
         covered = [i for block in blocks for i in range(spec.trials)[block]]
         assert covered == list(range(spec.trials))

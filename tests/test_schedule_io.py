@@ -179,6 +179,7 @@ class TestParseErrorPositions:
             ("duration", '"slow"', "field 'duration' must be a number"),
             ("axis", "[1, 0]", "field 'axis' must be a 3-element list"),
             ("axis", "[1, 1, 1]", "invalid segment"),
+            ("omega", "-1.0", "invalid segment: omega must be finite and >= 0"),
             ("colour", '"red"', "unknown field 'colour' in segment"),
         ],
     )
@@ -235,8 +236,14 @@ class TestParseErrorPositions:
         [
             ('{"pulse_y": {"omega": "x", "duration": 1}}', '"omega": "x"',
              "field 'omega' must be a number"),
-            ('{"pulse_y": {"omega": 1, "duration": -1}}', '"pulse_y"',
+            ('{"pulse_y": {"omega": 1, "duration": -1}}', '"duration": -1',
              "invalid pulse_y step"),
+            ('{"pulse_y": {"omega": 1e200, "duration": 1e200}}', '"duration": 1e200',
+             "invalid pulse_y step: rotation angle"),
+            ('{"coupling": {"duration": 1, "j": -1}}', '"j": -1',
+             "invalid coupling step: coupling_j must be finite and > 0"),
+            ('{"coupling": {"duration": 1e200, "j": 1e200}}', '"duration": 1e200',
+             "invalid coupling step: rotation angle"),
             ('{"pulse_y": {"omega": 1}}', '"pulse_y"',
              "missing field 'duration' in pulse_y"),
             ('{"coupling": {"duration": "x", "j": 0.5}}', '"duration": "x"',

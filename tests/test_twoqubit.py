@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.core import ControlSegment, Schedule, state_from_angles
+from geoloop.core import ControlSegment, Schedule, drive_arrays, state_from_angles
 from geoloop.gates import compare_gates, u_chi
 from geoloop.phases import dynamical_phase
 from geoloop.twoqubit import (
@@ -293,6 +293,29 @@ def test_coupling_step_rejects_non_finite(bad):
         CouplingStep(duration=bad, coupling_j=1.0)
     with pytest.raises(ValueError):
         CouplingStep(duration=1.0, coupling_j=bad)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: CouplingStep(duration=1.0, coupling_j=0.0), "coupling_j"),
+        (lambda: CouplingStep(duration=-1.0, coupling_j=1.0), "duration"),
+        # finite values whose angle 2 pi J * duration overflows
+        (lambda: CouplingStep(duration=1e200, coupling_j=1e200), "duration"),
+        (lambda: CouplingStep(duration=0.0, coupling_j=1e308), "duration"),
+        (lambda: ConditionalSchedule(steps=(), mode="sideways"), "mode"),
+    ],
+)
+def test_constructors_name_the_failing_field(build, field):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.value.field == field
+
+
+def test_coupling_step_is_a_z_rotation_at_two_pi_j():
+    axes, theta = drive_arrays([CouplingStep(duration=0.3, coupling_j=0.7)])
+    assert axes.tolist() == [[0.0, 0.0, 1.0]]
+    assert theta.tolist() == [2.0 * math.pi * 0.7 * 0.3]
 
 
 def test_conditional_schedule_mode_validation():
