@@ -8,6 +8,7 @@ minus half the enclosed solid angle.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,11 +27,21 @@ from .core import (
 
 DEFAULT_CYCLIC_TOL = 1e-9
 PATH_CLOSURE_TOL = 1e-6
-# Edges per block in solid_angle. Blocks keep its complex temporaries near
-# 64 kB, which malloc serves from its heap. Whole-path temporaries (640 kB
-# at 40k points) are mapped fresh on every call, and their page faults
-# cost more than the arithmetic.
-AREA_BLOCK = 4096
+# Rows per block in sample_path and edges per block in solid_angle. Each
+# scratch buffer then stays at or below 96 kB, under malloc's 128 kB mmap
+# threshold, so malloc serves and reuses it from its heap. Whole-path
+# temporaries (hundreds of kB at 10k samples per segment) are mapped fresh
+# on every call, and their page faults cost more than the arithmetic.
+PATH_BLOCK = 4096
+# Smallest edge overlap |<psi_k|psi_k+1>|^2 = (1 + r_k.r_k+1)/2 that
+# solid_angle accepts. The overlap is cos^2 of half the angle between the
+# two samples, so 1e-12 means within about 2e-6 rad of antipodal. An exact
+# antipodal pair has no unique geodesic, and rounding (~1e-16 in each
+# coordinate) decides which one a nominal antipode gets: a half turn
+# sampled at its two ends gives overlaps of 0.0 or -3.3e-16. The threshold
+# sits far above that noise and far below any usefully sampled path (a
+# quarter-turn edge has overlap 0.5).
+MIN_EDGE_OVERLAP = 1e-12
 
 
 class NonCyclicError(ValueError):
@@ -164,10 +175,10 @@ def sample_path(
     Each segment rotates the Bloch vector about its axis n by theta =
     omega * t. Interior points come from the closed (Rodrigues) form
     r(theta) = (1, cos theta, sin theta) . ((n.r0) n, r0 - (n.r0) n, n x r0)
-    of the segment's entry point r0, one matrix product per segment. Each
-    segment with nonzero duration contributes samples_per_segment - 1 new
-    points, so the path has 1 + (moving segments) * (samples_per_segment - 1)
-    samples in total.
+    of the segment's entry point r0, one matrix product per block of
+    PATH_BLOCK rows. Each segment with nonzero duration contributes
+    samples_per_segment - 1 new points, so the path has
+    1 + (moving segments) * (samples_per_segment - 1) samples in total.
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be >= 2")
@@ -175,48 +186,112 @@ def sample_path(
     # increasing and the points would be duplicates.
     moving = sum(1 for seg in sched if seg.duration > 0)
     per_segment = samples_per_segment - 1
-    fracs = np.arange(1, samples_per_segment) / per_segment
     times = np.empty(1 + moving * per_segment)
     points = np.empty((len(times), 3))
-    coeffs = np.ones((per_segment, 3))  # rows (1, cos theta, sin theta)
     times[0] = 0.0
     points[0] = bloch_points(initial.as_vector())
+    # The block buffers are gone by the time BlochPath checks the arrays.
+    _fill_segments(sched, per_segment, times, points)
+    return BlochPath(t=times, r=points)
+
+
+def _fill_segments(
+    sched: Schedule, per_segment: int, times: np.ndarray, points: np.ndarray
+) -> None:
+    """Write every moving segment's samples after the first row, in blocks.
+
+    Sample j of a segment (1 <= j <= per_segment) sits at the fraction
+    j / per_segment of its duration. The block's slice of times holds that
+    fraction, then the elapsed time, then the absolute time: the IEEE
+    operations of the whole-segment form, so no point depends on the block
+    size.
+    """
+    block = min(PATH_BLOCK, per_segment)
+    steps = np.arange(1.0, block + 1)
+    theta = np.empty(block)
+    coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
     start = 1
     t0 = 0.0
     for seg in sched:
         if seg.duration > 0:
-            stop = start + per_segment
-            partial = seg.duration * fracs
-            times[start:stop] = t0 + partial
             # The last fraction is exactly 1, so the segment's final point
             # is the entry point of the next segment.
             r0 = points[start - 1]
             n = np.asarray(seg.axis)
             along = (n @ r0) * n
-            theta = seg.omega * partial
-            np.cos(theta, out=coeffs[:, 1])
-            np.sin(theta, out=coeffs[:, 2])
-            basis = np.array([along, r0 - along, np.cross(n, r0)])
-            np.matmul(coeffs, basis, out=points[start:stop])
-            start = stop
+            # n x r0 in np.cross's operations, without its per-call cost
+            (nx, ny, nz), (x, y, z) = seg.axis, r0.tolist()
+            cross = (ny * z - nz * y, nz * x - nx * z, nx * y - ny * x)
+            basis = np.array([along, r0 - along, cross])
+            for lo in range(0, per_segment, block):
+                m = min(block, per_segment - lo)
+                rows = slice(start + lo, start + lo + m)
+                t = times[rows]
+                np.add(steps[:m], lo, out=t)
+                t /= per_segment
+                t *= seg.duration
+                np.multiply(t, seg.omega, out=theta[:m])
+                t += t0
+                np.cos(theta[:m], out=coeffs[:m, 1])
+                np.sin(theta[:m], out=coeffs[:m, 2])
+                np.matmul(coeffs[:m], basis, out=points[rows])
+            start += per_segment
         t0 += seg.duration
-    return BlochPath(t=times, r=points)
 
 
-def _edge_phase_sum(chain: np.ndarray) -> float:
-    """Sum of arg <psi_k|psi_k+1> over consecutive points of a chain.
+def _chain_phase(chain: np.ndarray, first: int, south: bool, buf: np.ndarray):
+    """Sum of arg <psi_k|psi_k+1> over the edges of a chain of points.
 
-    Each point is lifted to an unnormalized spinor with the pole chart that
-    is regular there: (1 + z, x + iy) north, (x - iy, 1 - z) south. arg
-    ignores positive scale, and a closed product does not depend on the
-    charts.
+    Both ends of an edge are lifted in the pole chart of the edge's own
+    hemisphere: north, (1 + z, x + iy), where s = z_k + z_k+1 >= 0, and
+    south, (x - iy, 1 - z), otherwise. The overlap is then real arithmetic,
+    1 + |s| + r_k.r_k+1 (which is >= |s|) plus i (r_k x r_k+1)_z, the
+    imaginary part, and so the phase, negated in the south chart. The south
+    lift is e^{-i phi} times the north lift (times a positive scale), so
+    where consecutive edges switch chart at a point k, phi_k =
+    atan2(y_k, x_k) is subtracted (north to south) or added (south to
+    north) to keep one lift per point.
+
+    first is the index of chain[0] in the path, for the error message, and
+    south the chart of the edge that enters chain[0]. buf is scratch space
+    of shape (3, >= len(chain) - 1). Returns the sum and the chart of the
+    chain's last edge.
     """
+    m = len(chain) - 1
     x, y, z = chain.T
-    north = z >= 0
-    up = np.where(north, 1.0 + z, x - 1j * y)
-    down = np.where(north, x + 1j * y, 1.0 - z)
-    overlaps = up[:-1].conj() * up[1:] + down[:-1].conj() * down[1:]
-    return float(np.sum(np.angle(overlaps)))
+    dot, re, im = buf[:, :m]
+    np.multiply(x[:-1], x[1:], out=dot)
+    np.multiply(y[:-1], y[1:], out=re)
+    dot += re
+    np.multiply(z[:-1], z[1:], out=re)
+    dot += re
+    k = int(np.argmin(dot))
+    overlap = (1.0 + dot[k]) / 2
+    if not overlap >= MIN_EDGE_OVERLAP:
+        k += first
+        raise ValueError(
+            f"samples {k} and {k + 1} are nearly antipodal (edge {k} overlap "
+            f"{overlap:.3g} < {MIN_EDGE_OVERLAP:g}): no unique geodesic joins "
+            "them; sample the path more finely"
+        )
+    np.add(z[:-1], z[1:], out=re)
+    souths = re < 0
+    np.abs(re, out=re)
+    re += 1.0
+    re += dot
+    np.multiply(x[:-1], y[1:], out=im)
+    np.multiply(y[:-1], x[1:], out=dot)
+    im -= dot
+    np.arctan2(im, re, out=im)  # each edge's phase in the north chart's sign
+    total = float(np.sum(im)) - 2.0 * float(im @ souths)
+    entering = np.empty_like(souths)  # the chart of the edge entering each point
+    entering[0] = south
+    entering[1:] = souths[:-1]
+    at = np.flatnonzero(entering != souths)
+    if at.size:
+        phi = np.arctan2(y[at], x[at])
+        total -= float(np.sum(np.where(souths[at], phi, -phi)))
+    return total, bool(souths[-1])
 
 
 def solid_angle(path: BlochPath) -> float:
@@ -227,14 +302,22 @@ def solid_angle(path: BlochPath) -> float:
     to the first (Samuel & Bhandari, PRL 60, 2339 (1988)). Counterclockwise
     seen from outside the sphere counts positive, and a self-crossing path
     counts each region once per winding. Exact, with no anchor point, for
-    every closed polygon whose consecutive samples are not antipodal (an
-    antipodal pair has no unique geodesic between them).
+    every closed polygon whose consecutive samples are not antipodal. An
+    antipodal pair has no unique geodesic between them: an edge k (from
+    sample k to k + 1) whose overlap (1 + r_k.r_k+1)/2 falls below
+    MIN_EDGE_OVERLAP raises ValueError.
     """
     pts = path.points()
     if len(pts) < 2 or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
         raise OpenPathError("path is not closed to within the closure tolerance")
-    total = _edge_phase_sum(pts[[-1, 0]])
-    for start in range(0, len(pts) - 1, AREA_BLOCK):
-        total += _edge_phase_sum(pts[start:start + AREA_BLOCK + 1])
+    buf = np.empty((3, min(PATH_BLOCK, len(pts) - 1)))
+    closing = pts[[-1, 0]]
+    south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
+    parts = []
+    for start in range(0, len(pts) - 1, PATH_BLOCK):
+        phase, south = _chain_phase(pts[start:start + PATH_BLOCK + 1], start, south, buf)
+        parts.append(phase)
+    parts.append(_chain_phase(closing, len(pts) - 1, south, buf)[0])
+    # fsum keeps the block sums' rounding from growing with the block count.
     # A single loop cannot enclose more than the sphere.
-    return 2.0 * wrap_phase(total)
+    return 2.0 * wrap_phase(math.fsum(parts))

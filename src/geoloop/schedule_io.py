@@ -89,7 +89,10 @@ def _require(obj: dict, key: str, context: str, text: str, path: tuple = ()):
 def _number(value, key: str, text: str, path: tuple) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _error(f"field {key!r} must be a number", text, path + (key,))
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise _error(f"field {key!r} must be a finite number", text, path + (key,)) from None
 
 
 def _number_field(obj: dict, key: str, context: str, text: str, path: tuple) -> float:

@@ -82,13 +82,24 @@ class TestInputErrors:
             ["noise", "{huge}", "--target", "u_chi:pi/4", "--trials", "2"],
             ["phase", "{huge}", "--chi", "pi/4"],
             ["export-path", "{huge}", "--chi", "pi/4", "--out", "{tmp}/p.csv"],
+            # a 401-digit integer, beyond the float range
+            ["verify", "{bigint}", "--target", "u_chi:pi/4"],
+            ["verify", "{bigaxis}", "--target", "u_chi:pi/4"],
         ],
     )
     def test_exits_2(self, loop_file, tmp_path, capsys, argv):
         huge = tmp_path / "huge.json"
         huge.write_text('{"version": 1, "kind": "single_qubit", "segments": [\n'
                         '  {"axis": [0, 0, 1], "omega": 1e200, "duration": 1e200}]}')
-        argv = [a.format(loop=loop_file, tmp=tmp_path, huge=huge) for a in argv]
+        big = "1" + "0" * 400
+        bigint = tmp_path / "bigint.json"
+        bigint.write_text('{"version": 1, "kind": "single_qubit", "segments": [\n'
+                          f'  {{"axis": [0, 0, 1], "omega": {big}, "duration": 1}}]}}')
+        bigaxis = tmp_path / "bigaxis.json"
+        bigaxis.write_text('{"version": 1, "kind": "single_qubit", "segments": [\n'
+                           f'  {{"axis": [0, 0, {big}], "omega": 1, "duration": 1}}]}}')
+        argv = [a.format(loop=loop_file, tmp=tmp_path, huge=huge, bigint=bigint,
+                         bigaxis=bigaxis) for a in argv]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

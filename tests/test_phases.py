@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from geoloop.core import (
     ControlSegment,
     QubitState,
     Schedule,
+    schedule_unitary,
     segment_unitary,
     state_from_angles,
 )
@@ -74,6 +76,36 @@ def reference_path(sched, initial, samples_per_segment):
         t0 += seg.duration
     points = [[(v.conj() @ p @ v).real for p in PAULI] for v in states]
     return np.array(times), np.array(points)
+
+
+def whole_segment_path(sched, initial, samples_per_segment):
+    """The Rodrigues path with whole-segment arrays (one coefficient array and
+    one np.cross per segment): the form sample_path fills block by block."""
+    per_segment = samples_per_segment - 1
+    moving = sum(1 for seg in sched if seg.duration > 0)
+    fracs = np.arange(1, samples_per_segment) / per_segment
+    times = np.empty(1 + moving * per_segment)
+    points = np.empty((len(times), 3))
+    coeffs = np.ones((per_segment, 3))
+    times[0] = 0.0
+    points[0] = phases.bloch_points(initial.as_vector())
+    start, t0 = 1, 0.0
+    for seg in sched:
+        if seg.duration > 0:
+            stop = start + per_segment
+            partial = seg.duration * fracs
+            times[start:stop] = t0 + partial
+            r0 = points[start - 1]
+            n = np.asarray(seg.axis)
+            along = (n @ r0) * n
+            theta = seg.omega * partial
+            np.cos(theta, out=coeffs[:, 1])
+            np.sin(theta, out=coeffs[:, 2])
+            basis = np.array([along, r0 - along, np.cross(n, r0)])
+            np.matmul(coeffs, basis, out=points[start:stop])
+            start = stop
+        t0 += seg.duration
+    return times, points
 
 
 class TestIsCyclic:
@@ -262,6 +294,29 @@ class TestSamplePath:
         assert np.array_equal(path.times(), times)
         assert np.max(np.abs(path.points() - points)) <= 1e-14
 
+    # 4097 and 8194 samples leave a one-row tail after whole blocks of 4096.
+    @pytest.mark.parametrize("samples", [2, 4097, 4098, 8194])
+    @pytest.mark.parametrize("block", [1, 7, 4096, 2**20])
+    def test_independent_of_block_size(self, monkeypatch, block, samples):
+        sched, state = loop_and_state(0.3, 0.7, 1.3)
+        times, points = whole_segment_path(sched, state, samples)
+        monkeypatch.setattr(phases, "PATH_BLOCK", block)
+        path = sample_path(sched, state, samples)
+        assert path.times().tobytes() == times.tobytes()
+        assert path.points().tobytes() == points.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules, initial_states, st.integers(2, 40), st.integers(1, 8))
+    def test_random_schedules_independent_of_block_size(self, sched, state, n, block):
+        times, points = whole_segment_path(sched, state, n)
+        phases.PATH_BLOCK, default = block, phases.PATH_BLOCK
+        try:
+            path = sample_path(sched, state, n)
+        finally:
+            phases.PATH_BLOCK = default
+        assert path.times().tobytes() == times.tobytes()
+        assert path.points().tobytes() == points.tobytes()
+
 
 class TestBlochPath:
     def test_samples_view(self):
@@ -323,6 +378,23 @@ class TestSolidAngle:
         with pytest.raises(OpenPathError):
             solid_angle(path)
 
+    @pytest.mark.parametrize("chi", [0.0, 0.3, math.pi / 4, 1.0])
+    def test_antipodal_samples_raise(self, chi):
+        # Two samples per segment put the ends of the x half turn at
+        # antipodes, which no unique geodesic joins: the area used to read
+        # 1.97 at chi = pi/4 instead of pi.
+        sched, state = loop_and_state(chi)
+        with pytest.raises(ValueError, match="antipodal"):
+            solid_angle(sample_path(sched, state, 2))
+
+    @pytest.mark.parametrize("edge", [0, 1, 2])
+    def test_antipodal_error_names_the_edge(self, edge):
+        pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        pts[(edge + 1) % 3] = -pts[edge]
+        path = BlochPath(t=[0.0, 1, 2, 3], r=np.vstack([pts, pts[:1]]))
+        with pytest.raises(ValueError, match=f"edge {edge} "):
+            solid_angle(path)
+
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_aa_relation(self, chi):
         sched, state = loop_and_state(chi)
@@ -357,6 +429,64 @@ def random_rotation(seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
     return q if np.linalg.det(q) > 0 else -q
+
+
+def unit(*v):
+    return tuple(np.array(v, dtype=float) / np.linalg.norm(v))
+
+
+def complex_lift_area(points):
+    """The area by the complex spinor lift: each point lifted in the pole
+    chart that is regular at it, (1 + z, x + iy) for z >= 0 and
+    (x - iy, 1 - z) otherwise, and one Bargmann product over the whole
+    closed polygon."""
+    chain = np.vstack([points[-1:], points])
+    x, y, z = chain.T
+    north = z >= 0
+    up = np.where(north, 1.0 + z, x - 1j * y)
+    down = np.where(north, x + 1j * y, 1.0 - z)
+    overlaps = up[:-1].conj() * up[1:] + down[:-1].conj() * down[1:]
+    return 2.0 * wrap_phase(float(np.sum(np.angle(overlaps))))
+
+
+def chart_turns(points):
+    """The samples where solid_angle's edge chart switches: edge k joins
+    samples k and k + 1 (the last edge wraps to sample 0) and lies in the
+    south chart when z_k + z_k+1 < 0."""
+    south = points[:, 2] + np.roll(points[:, 2], -1) < 0
+    return np.flatnonzero(south != np.roll(south, 1))
+
+
+def zigzag_path(flips, n):
+    """A closed path of n samples once around the z axis whose latitude
+    jumps between z = 0.5 and z = -0.5 at each index in flips (an even
+    number of them)."""
+    z = np.where(np.searchsorted(flips, np.arange(n), side="right") % 2, -0.5, 0.5)
+    phi = np.linspace(0.0, 2 * math.pi, n)
+    rho = np.sqrt(1 - z * z)
+    points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    points[-1] = points[0]
+    return BlochPath(t=np.arange(n, dtype=float), r=points)
+
+
+@st.composite
+def cyclic_loops(draw):
+    """Random-axis segments and an eigenstate of their gate, so the path
+    closes. Each segment turns by less than 1.9 pi, so 3 samples per
+    segment keep consecutive samples far from antipodal."""
+    segs = draw(
+        st.lists(
+            st.builds(
+                ControlSegment, axis=unit_axes, omega=st.floats(0.1, 3),
+                duration=st.floats(0.05, 1.9),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    sched = Schedule(segments=tuple(segs))
+    _, vecs = np.linalg.eig(schedule_unitary(sched))
+    return sched, QubitState(*vecs[:, draw(st.integers(0, 1))])
 
 
 # An inscribed N-gon misses about cos(a) sin(a)^2 (2 pi)^3 / (12 N^2) of a
@@ -411,17 +541,103 @@ class TestSolidAngleInvariant:
         rotated = BlochPath(t=path.times(), r=path.points() @ random_rotation(seed).T)
         assert area_gap(solid_angle(rotated), solid_angle(path)) <= 1e-12
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
     def test_independent_of_block_size(self, monkeypatch, block):
-        path = precession_path([(0.6, 0.0, 0.8), (0.0, -1.0, 0.0)], (1.0, 0.0, 0.0), 500)
+        path = zigzag_path([7 * k for k in range(1, 9)] + [4096, 8192], 8200)
+        turns = chart_turns(path.points())
+        assert np.any((turns > 0) & (turns % block == 0))  # a switch on a block boundary
         expected = solid_angle(path)
-        monkeypatch.setattr(phases, "AREA_BLOCK", block)
+        assert area_gap(expected, complex_lift_area(path.points())) <= 1e-12
+        monkeypatch.setattr(phases, "PATH_BLOCK", block)
         assert abs(solid_angle(path) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("samples", [50, 10_000])
+    @pytest.mark.parametrize("samples", [3, 50, 10_000])
     @pytest.mark.parametrize(
         "chi", [0.0, 1e-6, 1e-4, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2]
     )
     def test_paper_loop_area_is_pi(self, chi, samples):
         sched, state = loop_and_state(chi, 0.7, 1.3)
         assert abs(solid_angle(sample_path(sched, state, samples)) - math.pi) <= 1e-12
+
+
+class TestSolidAngleCharts:
+    """The per-edge pole charts against the complex lift of every point,
+    where the charts switch: across the equator, at the poles, on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_loops(), st.integers(3, 400))
+    def test_random_loops_match_complex_lift(self, loop, n):
+        path = sample_path(*loop, n)
+        assert area_gap(solid_angle(path), complex_lift_area(path.points())) <= 1e-12
+
+    def test_many_equator_crossings(self):
+        axis, start = unit(1, 0, 0.1), unit(0.2, 0.6, 0.8)
+        path = precession_path([axis] * 10, start, CAP_SAMPLES)
+        assert len(chart_turns(path.points())) >= 20
+        omega = solid_angle(path)
+        assert area_gap(omega, complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(omega, 10 * cap_area(axis, start)) <= 10 * CAP_TOL
+
+    def test_zigzag_across_the_equator(self):
+        path = zigzag_path(list(range(3, 4000, 5)), 4001)
+        assert len(chart_turns(path.points())) >= 700
+        assert area_gap(solid_angle(path), complex_lift_area(path.points())) <= 1e-12
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.5, 2.0])
+    def test_loop_within_1e9_of_south_pole(self, tilt):
+        # One turn about an axis tilted by tilt from -z, starting 1e-9 rad
+        # from the south pole.
+        axis = (math.sin(tilt), 0.0, -math.cos(tilt))
+        sched = Schedule(segments=(ControlSegment(axis, 1.0, 2 * math.pi),))
+        path = sample_path(sched, state_from_angles(math.pi - 1e-9, math.pi), CAP_SAMPLES)
+        start = path.points()[0]
+        assert 0 < math.hypot(start[0], start[1]) <= 1.01e-9
+        omega = solid_angle(path)
+        assert area_gap(omega, complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(omega, cap_area(axis, start)) <= CAP_TOL
+
+    @pytest.mark.parametrize("z1, z2", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("beta", [0.7, 2.5, 4.0])
+    def test_vertices_exactly_on_the_equator(self, z1, z2, beta):
+        # North pole, the equator at phi = 0, the south pole, the equator at
+        # phi = beta: a lune of area 2 beta. Its northern half, with an edge
+        # along the equator when beta < pi, has area beta.
+        north, south = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        a, b = [1.0, 0.0, z1], [math.cos(beta), math.sin(beta), z2]
+        lune = BlochPath(t=np.arange(5.0), r=[north, a, south, b, north])
+        assert area_gap(solid_angle(lune), 2 * beta) <= 1e-12
+        if beta < math.pi:
+            half = BlochPath(t=np.arange(4.0), r=[north, a, b, north])
+            assert area_gap(solid_angle(half), beta) <= 1e-12
+
+    def test_equator_with_signed_zeros(self):
+        phi = np.linspace(0.0, 2 * math.pi, 101)
+        z = np.where(np.arange(101) % 3 == 0, 0.0, -0.0)
+        points = np.column_stack([np.cos(phi), np.sin(phi), z])
+        points[-1] = points[0]
+        path = BlochPath(t=phi, r=points)
+        assert area_gap(solid_angle(path), 2 * math.pi) <= 1e-12
+
+
+def _traced_peak_kb(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in kB."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestPathAllocation:
+    """Path-length work runs in blocks: on the 10 000-sample paper loop the
+    only path-sized allocations are the arrays sample_path returns."""
+
+    def test_solid_angle_peak(self):
+        path = sample_path(*loop_and_state(math.pi / 4), 10_000)
+        _, peak = _traced_peak_kb(solid_angle, path)
+        assert peak < 256
+
+    def test_sample_path_peak(self):
+        path, peak = _traced_peak_kb(sample_path, *loop_and_state(math.pi / 4), 10_000)
+        returned = (path.times().nbytes + path.points().nbytes) / 1024
+        assert peak <= returned + 256

@@ -181,6 +181,12 @@ class TestParseErrorPositions:
             ("axis", "[1, 1, 1]", "invalid segment"),
             ("omega", "-1.0", "invalid segment: omega must be finite and >= 0"),
             ("colour", '"red"', "unknown field 'colour' in segment"),
+            # Beyond the float range: float() of the integer overflows.
+            pytest.param("omega", "1" + "0" * 400, "field 'omega' must be a finite number",
+                         id="omega-401-digit-integer"),
+            pytest.param("axis", "[0, 0, 1" + "0" * 400 + "]",
+                         "field 'axis' must be a finite number",
+                         id="axis-401-digit-integer"),
         ],
     )
     def test_points_at_key_of_offending_segment(self, index, field, value, message):
@@ -250,6 +256,8 @@ class TestParseErrorPositions:
              "field 'duration' must be a number"),
             ('{"pulse_y": {"omega": 1, "duration": 1, "phase": 0}}', '"phase"',
              "unknown field 'phase' in pulse_y"),
+            pytest.param('{"coupling": {"duration": 1, "j": 1%s}}' % ("0" * 400), '"j": 1',
+                         "field 'j' must be a finite number", id="j-401-digit-integer"),
         ],
     )
     def test_points_into_offending_step(self, bad_step, token, message):
