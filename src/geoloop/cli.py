@@ -67,8 +67,21 @@ def _load(path):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _target_unitary(spec: str, sched) -> np.ndarray:
-    """Resolve a named verification target against the loaded schedule."""
+def _load_single_qubit(path, what: str):
+    """Load a single-qubit schedule; what ("noise sweeps are", ...) starts the error."""
+    sched = _load(path)
+    if isinstance(sched, ConditionalSchedule):
+        raise CliError(f"{what} defined for single-qubit schedules")
+    return sched
+
+
+def _initial_state(args):
+    """The plus-branch state at the --chi and --phi arguments."""
+    return state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
+
+
+def _target_unitary(spec: str) -> np.ndarray:
+    """Resolve a named verification target."""
     name, _, arg = spec.partition(":")
     if name == "u_chi":
         if not arg:
@@ -106,7 +119,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     sched = _load(args.schedule)
-    target = _target_unitary(args.target, sched)
+    target = _target_unitary(args.target)
     actual = _actual_unitary(sched, args.target)
     if actual.shape != target.shape:
         raise CliError(
@@ -122,12 +135,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    sched = _load(args.schedule)
-    if isinstance(sched, ConditionalSchedule):
-        raise CliError("phase reports are defined for single-qubit schedules")
-    initial = state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
+    sched = _load_single_qubit(args.schedule, "phase reports are")
     try:
-        decomp = phases.geometric_phase(sched, initial)
+        decomp = phases.geometric_phase(sched, _initial_state(args))
     except phases.NonCyclicError:
         print("initial state not cyclic", file=sys.stderr)
         return 1
@@ -138,11 +148,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_export_path(args) -> int:
-    sched = _load(args.schedule)
-    if isinstance(sched, ConditionalSchedule):
-        raise CliError("path export is defined for single-qubit schedules")
-    initial = state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
-    path = phases.sample_path(sched, initial, args.samples)
+    sched = _load_single_qubit(args.schedule, "path export is")
+    path = phases.sample_path(sched, _initial_state(args), args.samples)
     rows = np.column_stack((path.times(), path.points()))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -155,10 +162,8 @@ def cmd_export_path(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    sched = _load(args.schedule)
-    if isinstance(sched, ConditionalSchedule):
-        raise CliError("noise sweeps are defined for single-qubit schedules")
-    target = _target_unitary(args.target, sched)
+    sched = _load_single_qubit(args.schedule, "noise sweeps are")
+    target = _target_unitary(args.target)
     if target.shape != (2, 2):
         raise CliError("noise sweeps need a single-qubit target (u_chi:...)")
     spec = noise.NoiseSpec(

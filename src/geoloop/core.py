@@ -80,9 +80,21 @@ class BlochVector:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
+def as_float(field: str, value) -> float:
+    """float(value), naming field when value is an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        message = f"{field} is an integer beyond the float range"
+        raise InvalidFieldError(field, message) from None
+
+
 def check_duration(omega: float, duration: float) -> None:
-    """Require a finite duration >= 0 and a finite rotation angle omega * duration."""
-    if not 0.0 <= duration < math.inf:
+    """Require a finite duration >= 0 and a finite rotation angle omega * duration.
+
+    omega must already be a number that float() converts.
+    """
+    if not 0.0 <= as_float("duration", duration) < math.inf:
         message = f"duration must be finite and >= 0, got {duration}"
     elif not math.isfinite(float(omega) * float(duration)):  # finite factors can overflow
         message = f"rotation angle {omega!r} * {duration!r} is not finite"
@@ -104,13 +116,13 @@ class ControlSegment:
     duration: float
 
     def __post_init__(self):
-        ax = tuple(float(c) for c in self.axis)
+        ax = tuple(as_float("axis", c) for c in self.axis)
         if len(ax) != 3:
             raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
         norm = math.sqrt(sum(c * c for c in ax))
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
             raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
-        if not 0.0 <= self.omega < math.inf:
+        if not 0.0 <= as_float("omega", self.omega) < math.inf:
             raise InvalidFieldError(
                 "omega", f"omega must be finite and >= 0, got {self.omega}"
             )
@@ -133,10 +145,6 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from json.decoder import WHITESPACE
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import ControlSegment, InvalidFieldError, Schedule
 from .twoqubit import ConditionalSchedule, CouplingStep
@@ -29,7 +29,46 @@ class ScheduleParseError(ValueError):
         self.column = column
 
 
-_DECODER = json.JSONDecoder()
+class _Reject(Exception):
+    """A failed check; args are the message and the path of the token at fault."""
+
+
+class _LongInt:
+    """An integer literal too long for int(): beyond the float range, so float() overflows."""
+
+    def __float__(self):
+        raise OverflowError("integer literal beyond the float range")
+
+    def __repr__(self):
+        return "<integer beyond the int-string limit>"
+
+
+def _parse_int(literal: str):
+    try:
+        return int(literal)
+    except ValueError:  # more digits than the int-string limit allows
+        return _LongInt()
+
+
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
+class _Record(NamedTuple):
+    """The layout of one record kind, read by both the parser and the serializer."""
+
+    cls: type
+    fixed: dict  # constructor fields that the kind fixes
+    keys: tuple  # (file key, constructor field) pairs, in file order
+
+
+_SEGMENT = _Record(
+    ControlSegment, {}, (("axis", "axis"), ("omega", "omega"), ("duration", "duration"))
+)
+_STEPS = {
+    "pulse_y": _Record(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
+                       (("omega", "omega"), ("duration", "duration"))),
+    "coupling": _Record(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j"))),
+}
 
 
 def _skip(text: str, idx: int) -> int:
@@ -37,13 +76,13 @@ def _skip(text: str, idx: int) -> int:
 
 
 def _offset(text: str, path: tuple) -> int:
-    """Offset of the token at ``path`` in a document that json.loads accepts.
+    """Offset of the token at ``path`` in a document that _DECODER accepts.
 
     path holds object keys and array indices from the top level down. The
     token is the last key's opening quote, or the value at the last index
     (the whole document for an empty path). Of duplicate keys the last one
     counts, as in json.loads. Only error messages need this, so parsing
-    itself stays a single json.loads.
+    itself stays a single decode.
     """
     at = idx = _skip(text, 0)
     for step in path:
@@ -65,137 +104,117 @@ def _offset(text: str, path: tuple) -> int:
     return at
 
 
-def _error(message: str, text: str, path: tuple = ()) -> ScheduleParseError:
-    """ScheduleParseError at the line and column of the token at ``path``."""
-    idx = _offset(text, path)
-    line = text.count("\n", 0, idx) + 1
-    return ScheduleParseError(message, line, idx - text.rfind("\n", 0, idx))
-
-
-def _check_fields(
-    obj: dict, allowed: set[str], context: str, text: str, path: tuple = ()
-) -> None:
+def _check_fields(obj: dict, allowed, context: str, path: tuple = ()) -> None:
     for key in obj:
         if key not in allowed:
-            raise _error(f"unknown field {key!r} in {context}", text, path + (key,))
+            raise _Reject(f"unknown field {key!r} in {context}", path + (key,))
 
 
-def _require(obj: dict, key: str, context: str, text: str, path: tuple = ()):
+def _require(obj: dict, key: str, context: str, path: tuple = ()):
     if key not in obj:
-        raise _error(f"missing field {key!r} in {context}", text, path)
+        raise _Reject(f"missing field {key!r} in {context}", path)
     return obj[key]
 
 
-def _number(value, key: str, text: str, path: tuple) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _error(f"field {key!r} must be a number", text, path + (key,))
+def _list(doc: dict, key: str) -> list:
+    value = _require(doc, key, "schedule file")
+    if not isinstance(value, list):
+        raise _Reject(f"field {key!r} must be a list", (key,))
+    return value
+
+
+def _number(value, key: str, path: tuple) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, _LongInt)):
+        raise _Reject(f"field {key!r} must be a number", path)
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise _error(f"field {key!r} must be a finite number", text, path + (key,)) from None
+        raise _Reject(f"field {key!r} must be a finite number", path) from None
 
 
-def _number_field(obj: dict, key: str, context: str, text: str, path: tuple) -> float:
-    return _number(_require(obj, key, context, text, path), key, text, path)
-
-
-def _construct(cls, prefix: str, text: str, path: tuple, **fields):
-    """cls(**fields), with a rejected field reported at its key under path."""
-    try:
-        return cls(**fields)
-    except InvalidFieldError as exc:
-        key = "j" if exc.field == "coupling_j" else exc.field  # the file's name
-        raise _error(f"{prefix}{exc}", text, path + (key,)) from exc
-
-
-def _parse_segment(obj, text: str, path: tuple) -> ControlSegment:
+def _parse_record(record: _Record, name: str, obj, path: tuple, noun: str):
+    """A segment or step body, checked key by key in file order, then built."""
     if not isinstance(obj, dict):
-        raise _error("segment must be an object", text, path)
-    _check_fields(obj, {"axis", "omega", "duration"}, "segment", text, path)
-    axis = _require(obj, "axis", "segment", text, path)
-    if not (isinstance(axis, list) and len(axis) == 3):
-        raise _error("field 'axis' must be a 3-element list", text, path + ("axis",))
-    return _construct(
-        ControlSegment, "invalid segment: ", text, path,
-        axis=tuple(_number(c, "axis", text, path) for c in axis),
-        omega=_number_field(obj, "omega", "segment", text, path),
-        duration=_number_field(obj, "duration", "segment", text, path),
-    )
+        raise _Reject(f"{noun} must be an object", path)
+    _check_fields(obj, dict(record.keys), name, path)
+    fields = dict(record.fixed)
+    for key, field in record.keys:
+        value, at = _require(obj, key, name, path), path + (key,)
+        if key != "axis":
+            fields[field] = _number(value, key, at)
+        elif isinstance(value, list) and len(value) == 3:
+            fields[field] = tuple(_number(c, key, at) for c in value)
+        else:
+            raise _Reject("field 'axis' must be a 3-element list", at)
+    try:
+        return record.cls(**fields)
+    except InvalidFieldError as exc:  # reported at the key of the field it names
+        key = next(k for k, field in record.keys if field == exc.field)
+        raise _Reject(f"invalid {noun}: {exc}", path + (key,)) from exc
 
 
-def _parse_step(obj, text: str, path: tuple):
+def _parse_step(obj, path: tuple):
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise _error("step must be an object with a single key", text, path)
+        raise _Reject("step must be an object with a single key", path)
     (kind, body), = obj.items()
-    path += (kind,)
-    if kind not in ("pulse_y", "coupling"):
-        raise _error(f"unknown step kind {kind!r}", text, path)
-    if not isinstance(body, dict):
-        raise _error(f"{kind} step must be an object", text, path)
-    prefix = f"invalid {kind} step: "
-    if kind == "pulse_y":
-        _check_fields(body, {"omega", "duration"}, kind, text, path)
-        return _construct(
-            ControlSegment, prefix, text, path,
-            axis=(0, 1, 0),
-            omega=_number_field(body, "omega", kind, text, path),
-            duration=_number_field(body, "duration", kind, text, path),
+    if kind not in _STEPS:
+        raise _Reject(f"unknown step kind {kind!r}", path + (kind,))
+    return _parse_record(_STEPS[kind], kind, body, path + (kind,), f"{kind} step")
+
+
+def _parse_document(doc: dict) -> AnySchedule:
+    version = _require(doc, "version", "schedule file")
+    if version != FORMAT_VERSION:
+        raise _Reject(f"unsupported version {version!r}", ("version",))
+    kind = _require(doc, "kind", "schedule file")
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise _Reject("field 'label' must be a string", ("label",))
+
+    if kind == "single_qubit":
+        _check_fields(doc, ("version", "kind", "label", "segments"), "schedule file")
+        segments = tuple(
+            _parse_record(_SEGMENT, "segment", s, ("segments", i), "segment")
+            for i, s in enumerate(_list(doc, "segments"))
         )
-    _check_fields(body, {"duration", "j"}, kind, text, path)
-    return _construct(
-        CouplingStep, prefix, text, path,
-        duration=_number_field(body, "duration", kind, text, path),
-        coupling_j=_number_field(body, "j", kind, text, path),
-    )
+        return Schedule(segments, label)
+    if kind == "two_qubit":
+        _check_fields(doc, ("version", "kind", "label", "mode", "steps"), "schedule file")
+        mode = _require(doc, "mode", "schedule file")
+        steps = tuple(_parse_step(s, ("steps", i)) for i, s in enumerate(_list(doc, "steps")))
+        try:
+            return ConditionalSchedule(steps, mode, label)
+        except InvalidFieldError as exc:  # the mode
+            raise _Reject(str(exc), ("mode",)) from exc
+    raise _Reject(f"unknown kind {kind!r}", ("kind",))
 
 
 def parse_schedule(text: str) -> AnySchedule:
     """Parse a schedule file into a Schedule or ConditionalSchedule."""
+    if text.startswith("\ufeff"):  # json.loads checks this; decode() does not
+        raise ScheduleParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ScheduleParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict):
         raise ScheduleParseError("top level must be an object")
+    try:
+        return _parse_document(doc)
+    except _Reject as exc:
+        message, path = exc.args
+        idx = _offset(text, path)
+        line = text.count("\n", 0, idx) + 1
+        column = idx - text.rfind("\n", 0, idx)
+        raise ScheduleParseError(message, line, column) from exc.__cause__
 
-    version = _require(doc, "version", "schedule file", text)
-    if version != FORMAT_VERSION:
-        raise _error(f"unsupported version {version!r}", text, ("version",))
-    kind = _require(doc, "kind", "schedule file", text)
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise _error("field 'label' must be a string", text, ("label",))
 
-    if kind == "single_qubit":
-        _check_fields(
-            doc, {"version", "kind", "label", "segments"}, "schedule file", text
-        )
-        segments = _require(doc, "segments", "schedule file", text)
-        if not isinstance(segments, list):
-            raise _error("field 'segments' must be a list", text, ("segments",))
-        return Schedule(
-            segments=tuple(
-                _parse_segment(s, text, ("segments", i)) for i, s in enumerate(segments)
-            ),
-            label=label,
-        )
-    if kind == "two_qubit":
-        _check_fields(
-            doc, {"version", "kind", "label", "steps", "mode"}, "schedule file", text
-        )
-        mode = _require(doc, "mode", "schedule file", text)
-        steps = _require(doc, "steps", "schedule file", text)
-        if not isinstance(steps, list):
-            raise _error("field 'steps' must be a list", text, ("steps",))
-        return _construct(
-            ConditionalSchedule, "", text, (),
-            steps=tuple(
-                _parse_step(s, text, ("steps", i)) for i, s in enumerate(steps)
-            ),
-            mode=mode,
-            label=label,
-        )
-    raise _error(f"unknown kind {kind!r}", text, ("kind",))
+def _fields(record: _Record, name: str, obj) -> dict:
+    """The file object of one record, keys in the order the parser reads them."""
+    for field, value in record.fixed.items():
+        if getattr(obj, field) != value:
+            raise ValueError(f"{name} records need {field} {value}, got {getattr(obj, field)}")
+    return {key: getattr(obj, field) for key, field in record.keys}
 
 
 def serialize_schedule(sched: AnySchedule) -> str:
@@ -205,31 +224,13 @@ def serialize_schedule(sched: AnySchedule) -> str:
             "version": FORMAT_VERSION,
             "kind": "single_qubit",
             "label": sched.label,
-            "segments": [
-                {
-                    "axis": list(seg.axis),
-                    "omega": seg.omega,
-                    "duration": seg.duration,
-                }
-                for seg in sched.segments
-            ],
+            "segments": [_fields(_SEGMENT, "segment", seg) for seg in sched.segments],
         }
     elif isinstance(sched, ConditionalSchedule):
         steps = []
         for step in sched.steps:
-            if isinstance(step, CouplingStep):
-                steps.append(
-                    {"coupling": {"duration": step.duration, "j": step.coupling_j}}
-                )
-            else:
-                if step.axis != (0.0, 1.0, 0.0):
-                    raise ValueError(
-                        "two-qubit files only represent y-axis pulses; "
-                        f"got axis {step.axis}"
-                    )
-                steps.append(
-                    {"pulse_y": {"omega": step.omega, "duration": step.duration}}
-                )
+            kind = next(k for k, record in _STEPS.items() if isinstance(step, record.cls))
+            steps.append({kind: _fields(_STEPS[kind], kind, step)})
         doc = {
             "version": FORMAT_VERSION,
             "kind": "two_qubit",

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .core import ControlSegment, IDENTITY_2, InvalidFieldError, SIGMA_Z, Schedule
-from .core import check_duration, drive_arrays, ordered_product, su2
+from .core import as_float, check_duration, drive_arrays, ordered_product, su2
 from .gates import check_chi, single_loop_schedule, u_chi
 
 IDENTITY_4 = np.eye(4, dtype=complex)
@@ -45,7 +45,7 @@ class NmrParams:
         if self.accessory is not None:
             names.append("accessory")
         for name in names:
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(as_float(name, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def with_matched_accessory(self) -> "NmrParams":
@@ -75,7 +75,7 @@ class CouplingStep:
     axis = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.coupling_j < math.inf:
+        if not 0.0 < as_float("coupling_j", self.coupling_j) < math.inf:
             raise InvalidCouplingError(
                 "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
             )
@@ -144,10 +144,7 @@ def two_qubit_schedule(
 
     Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega).
     """
-    if p.coupling_j <= 0:
-        raise InvalidCouplingError(
-            "coupling_j", f"coupling_j must be > 0, got {p.coupling_j}"
-        )
+    CouplingStep(duration=0.0, coupling_j=p.coupling_j)  # J's rule, before dividing by J
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     y_pulse = ControlSegment(axis=(0, 1, 0), omega=omega, duration=math.pi / (2 * omega))

@@ -85,6 +85,8 @@ class TestInputErrors:
             # a 401-digit integer, beyond the float range
             ["verify", "{bigint}", "--target", "u_chi:pi/4"],
             ["verify", "{bigaxis}", "--target", "u_chi:pi/4"],
+            # a 5001-digit integer, beyond Python's int-string limit
+            ["verify", "{longint}", "--target", "u_chi:pi/4"],
         ],
     )
     def test_exits_2(self, loop_file, tmp_path, capsys, argv):
@@ -98,8 +100,10 @@ class TestInputErrors:
         bigaxis = tmp_path / "bigaxis.json"
         bigaxis.write_text('{"version": 1, "kind": "single_qubit", "segments": [\n'
                            f'  {{"axis": [0, 0, {big}], "omega": 1, "duration": 1}}]}}')
+        longint = tmp_path / "longint.json"
+        longint.write_text(bigint.read_text().replace(big, "1" + "0" * 5000))
         argv = [a.format(loop=loop_file, tmp=tmp_path, huge=huge, bigint=bigint,
-                         bigaxis=bigaxis) for a in argv]
+                         bigaxis=bigaxis, longint=longint) for a in argv]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -381,6 +385,13 @@ GOLDEN_ERRORS = {
             "from 1 (line 2, column 16)\n"),
     "verify mode.json --target u2":
         (2, "error: mode.json: unknown mode 'magic' (line 1, column 37)\n"),
+    "verify longint.json --target u_chi:0":
+        (2, "error: longint.json: field 'omega' must be a finite number "
+            "(line 2, column 23)\n"),
+    "export-path u2.json --chi 0 --out p.csv":
+        (2, "error: path export is defined for single-qubit schedules\n"),
+    "noise u2.json --target u_chi:0":
+        (2, "error: noise sweeps are defined for single-qubit schedules\n"),
 }
 
 
@@ -403,6 +414,8 @@ class TestGoldenBytes:
             head + '{"omega": 1, "axis": [1, 1, 1], "duration": 1}]}')
         (tmp_path / "mode.json").write_text(
             '{"version": 1, "kind": "two_qubit", "mode": "magic", "steps": []}')
+        (tmp_path / "longint.json").write_text(
+            head + '{"axis": [0, 0, 1], "omega": 1%s, "duration": 1}]}' % ("0" * 5000))
 
     @pytest.mark.parametrize("argv", GOLDEN_STDOUT)
     def test_stdout(self, capsys, argv):

@@ -209,6 +209,11 @@ class TestSegmentUnitary:
             ({"duration": math.nan}, "duration"),
             # each value is finite, the rotation angle omega * duration is not
             ({"omega": 1e200, "duration": 1e200}, "duration"),
+            # integers beyond the float range, which float() overflows on
+            pytest.param({"omega": 10**400}, "omega", id="omega-int-beyond-float-range"),
+            pytest.param({"duration": 10**400}, "duration",
+                         id="duration-int-beyond-float-range"),
+            pytest.param({"axis": (0, 0, 10**400)}, "axis", id="axis-int-beyond-float-range"),
         ],
     )
     def test_names_the_failing_field(self, kwargs, field):

@@ -184,6 +184,9 @@ class TestParseErrorPositions:
             # Beyond the float range: float() of the integer overflows.
             pytest.param("omega", "1" + "0" * 400, "field 'omega' must be a finite number",
                          id="omega-401-digit-integer"),
+            # Beyond Python's int-string limit: json.loads cannot read it as an int.
+            pytest.param("omega", "1" + "0" * 5000, "field 'omega' must be a finite number",
+                         id="omega-5001-digit-integer"),
             pytest.param("axis", "[0, 0, 1" + "0" * 400 + "]",
                          "field 'axis' must be a finite number",
                          id="axis-401-digit-integer"),

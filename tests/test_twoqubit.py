@@ -59,7 +59,10 @@ class TestNmrHamiltonian:
 
 
 class TestNmrParams:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float-range")],
+    )
     @pytest.mark.parametrize("field", ["omega_a", "omega_b", "coupling_j", "accessory"])
     def test_rejects_non_finite(self, field, bad):
         # NmrParams(nan, 1, 0.5) gave an all-NaN Hamiltonian and NaN fields.
@@ -132,6 +135,15 @@ class TestTwoQubitSchedule:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             two_qubit_schedule(-1.0, PARAMS)
+
+    @pytest.mark.parametrize("j", [0.0, -0.5])
+    def test_coupling_rule_is_coupling_steps(self, j):
+        # The builder divides by J; it must reject J as CouplingStep does.
+        with pytest.raises(InvalidCouplingError) as built:
+            two_qubit_schedule(1.0, NmrParams(1.0, 1.0, j))
+        with pytest.raises(InvalidCouplingError) as direct:
+            CouplingStep(duration=1.0, coupling_j=j)
+        assert str(built.value) == str(direct.value)
 
 
 class TestTwoQubitUnitary:
@@ -304,6 +316,11 @@ def test_coupling_step_rejects_non_finite(bad):
         (lambda: CouplingStep(duration=1e200, coupling_j=1e200), "duration"),
         (lambda: CouplingStep(duration=0.0, coupling_j=1e308), "duration"),
         (lambda: ConditionalSchedule(steps=(), mode="sideways"), "mode"),
+        # integers beyond the float range, which float() overflows on
+        pytest.param(lambda: CouplingStep(duration=10**400, coupling_j=1.0), "duration",
+                     id="duration-int-beyond-float-range"),
+        pytest.param(lambda: CouplingStep(duration=1.0, coupling_j=10**400), "coupling_j",
+                     id="coupling_j-int-beyond-float-range"),
     ],
 )
 def test_constructors_name_the_failing_field(build, field):
