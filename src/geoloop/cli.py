@@ -80,31 +80,28 @@ def _initial_state(args):
     return state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
 
 
-def _target_unitary(spec: str) -> np.ndarray:
-    """Resolve a named verification target."""
+# What a target name means: (reference gate, whether it takes an angle, the
+# propagator of a single-qubit schedule). A two-qubit schedule always gets
+# two_qubit_unitary.
+_TARGETS = {
+    "u_chi": (gates.u_chi, True, schedule_unitary),
+    "u2": (u2_natural, False, schedule_unitary),
+    "u2_prime": (u2_line_selective, False, schedule_unitary),
+    "controlled_u": (controlled_u_reference, True, line_selective_unitary),
+}
+
+
+def _target(spec: str):
+    """Reference gate of a named target, and the propagator its schedule gets."""
     name, _, arg = spec.partition(":")
-    if name == "u_chi":
-        if not arg:
-            raise CliError("target u_chi needs an angle, e.g. u_chi:pi/4")
-        return gates.u_chi(parse_angle(arg))
-    if name == "u2":
-        return u2_natural()
-    if name == "u2_prime":
-        return u2_line_selective()
-    if name == "controlled_u":
-        if not arg:
-            raise CliError("target controlled_u needs an angle")
-        return controlled_u_reference(parse_angle(arg))
-    raise CliError(f"unknown target {spec!r}")
-
-
-def _actual_unitary(sched, target_name: str) -> np.ndarray:
-    """Propagator of the schedule in the dimension the target expects."""
-    if isinstance(sched, ConditionalSchedule):
-        return two_qubit_unitary(sched)
-    if target_name.startswith("controlled_u"):
-        return line_selective_unitary(sched)
-    return schedule_unitary(sched)
+    if name not in _TARGETS:
+        raise CliError(f"unknown target {spec!r}")
+    reference, takes_angle, propagator = _TARGETS[name]
+    if not takes_angle:
+        return reference(), propagator
+    if not arg:
+        raise CliError(f"target {name} needs an angle, e.g. {name}:pi/4")
+    return reference(parse_angle(arg)), propagator
 
 
 def cmd_synthesize(args) -> int:
@@ -119,8 +116,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     sched = _load(args.schedule)
-    target = _target_unitary(args.target)
-    actual = _actual_unitary(sched, args.target)
+    target, propagator = _target(args.target)
+    if isinstance(sched, ConditionalSchedule):
+        propagator = two_qubit_unitary
+    actual = propagator(sched)
     if actual.shape != target.shape:
         raise CliError(
             f"schedule produces a {actual.shape[0]}x{actual.shape[0]} gate but "
@@ -163,7 +162,7 @@ def cmd_export_path(args) -> int:
 
 def cmd_noise(args) -> int:
     sched = _load_single_qubit(args.schedule, "noise sweeps are")
-    target = _target_unitary(args.target)
+    target, _ = _target(args.target)
     if target.shape != (2, 2):
         raise CliError("noise sweeps need a single-qubit target (u_chi:...)")
     spec = noise.NoiseSpec(

@@ -168,6 +168,7 @@ def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitStat
     branch is its orthogonal complement (antipodal point). Angles outside
     the nominal ranges are reduced mod 2*pi to (-pi, pi].
     """
+    chi, phi = as_float("chi", chi), as_float("phi", phi)
     if not (math.isfinite(chi) and math.isfinite(phi)):
         raise ValueError("chi and phi must be finite")
     chi = wrap_phase(chi)

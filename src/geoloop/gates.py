@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSegment, Schedule, unitarity_defect
+from .core import ControlSegment, Schedule, as_float, unitarity_defect
 
 
 class ChiOutOfRangeError(ValueError):
@@ -61,7 +61,7 @@ def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
 
 def check_chi(chi: float) -> None:
     """Require chi in [0, pi/2], the range of the single-loop gate."""
-    if not 0.0 <= chi <= math.pi / 2:
+    if not 0.0 <= as_float("chi", chi) <= math.pi / 2:
         raise ChiOutOfRangeError(f"chi out of range [0, pi/2], got {chi}")
 
 
@@ -73,6 +73,7 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     legal zero-duration identity.
     """
     check_chi(chi)
+    omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
     if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
         raise ValueError("omega and omega2 must be finite and > 0")
     return Schedule(

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSegment, Schedule, drive_arrays, ordered_product, su2
+from .core import ControlSegment, InvalidFieldError, Schedule, as_float, drive_arrays
+from .core import ordered_product, su2
 
 # Trials seeded and propagated together by fidelity_sweep. A seed-hash
 # call costs about 0.1 ms however few trials it covers, so blocks amortize
@@ -29,7 +31,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Relative Gaussian error levels, trial count, and RNG seed."""
+    """Relative Gaussian error levels, trial count, and RNG seed.
+
+    The sigmas are finite and >= 0; trials and seed are integers, not bools,
+    with trials in [1, 2**32].
+    """
 
     sigma_omega: float = 0.0
     sigma_tau: float = 0.0
@@ -37,8 +43,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("sigma_omega", "sigma_tau"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if not (0 <= self.sigma_omega < math.inf and 0 <= self.sigma_tau < math.inf):
             raise ValueError("sigmas must be finite and >= 0")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidFieldError(name, f"{name} must be an integer, got {value!r}")
         if not self.trials >= 1:
             raise ValueError("trials must be >= 1")
         if not self.trials <= 2**32:  # a trial index is one 32-bit seed word

@@ -20,12 +20,12 @@ from .core import (
     Schedule,
     bloch_points,
     drive_arrays,
-    propagate,
     su2,
     wrap_phase,
 )
 
-DEFAULT_CYCLIC_TOL = 1e-9
+# An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
+CYCLIC_TOL = 1e-9
 PATH_CLOSURE_TOL = 1e-6
 # Rows per block in sample_path and edges per block in solid_angle. Each
 # scratch buffer then stays at or below 96 kB, under malloc's 128 kB mmap
@@ -119,52 +119,62 @@ class PathSamples(Sequence):
         return float(self._t[index]), BlochVector(*self._r[index].tolist())
 
 
-def is_cyclic(sched: Schedule, initial: QubitState, tol: float = DEFAULT_CYCLIC_TOL) -> bool:
-    """True iff the evolution returns the state to itself up to a phase."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    final = propagate(sched, initial)
-    return abs(initial.inner(final)) >= 1.0 - tol
+def _follow(sched: Schedule, initial: QubitState) -> tuple[complex, float]:
+    """<initial|final> and the dynamical phase, from one pass through the schedule.
 
-
-def total_phase(sched: Schedule, initial: QubitState) -> float:
-    """Phase arg<initial|final> of a cyclic evolution, in (-pi, pi]."""
-    final = propagate(sched, initial)
-    overlap = initial.inner(final)
-    if not abs(overlap) >= 1.0 - DEFAULT_CYCLIC_TOL:  # NaN-safe
-        raise NonCyclicError(
-            f"initial state is not cyclic (|overlap| = {abs(overlap):.6g})"
-        )
-    return wrap_phase(float(np.angle(overlap)))
-
-
-def dynamical_phase(sched: Schedule, initial: QubitState) -> float:
-    """-sum_k <psi_k|H_k|psi_k> tau_k over the schedule.
-
-    <H> is conserved within each constant-H segment, so this segment sum
-    equals the continuous-time integral exactly. With H_k = (omega_k/2)
-    n_k . sigma, <H_k> = (omega_k/2) n_k . r_k, where r_k is the Bloch
-    vector entering segment k, so the sum is -1/2 sum_k theta_k n_k . r_k
-    with theta_k = omega_k tau_k. Defined for any evolution, cyclic or not.
+    The dynamical phase is -sum_k <psi_k|H_k|psi_k> tau_k. <H> is conserved
+    within each constant-H segment, so this segment sum equals the
+    continuous-time integral exactly. With H_k = (omega_k/2) n_k . sigma,
+    <H_k> = (omega_k/2) n_k . r_k, where r_k is the Bloch vector entering
+    segment k, so the sum is -1/2 sum_k theta_k n_k . r_k with theta_k =
+    omega_k tau_k.
     """
     axes, theta = drive_arrays(sched.segments)
     spinors = np.empty((len(theta), 2), dtype=complex)
-    vec = initial.as_vector()
+    start = vec = initial.as_vector()
     for k, u in enumerate(su2(axes, theta)):
         spinors[k] = vec
         vec = u @ vec
     n_dot_r = np.sum(axes * bloch_points(spinors), axis=1)
     # 0.0 - x keeps an exactly zero phase unsigned, as the report prints it.
-    return 0.0 - 0.5 * float(theta @ n_dot_r)
+    return complex(np.vdot(start, vec)), 0.0 - 0.5 * float(theta @ n_dot_r)
+
+
+def _cyclic(overlap: complex) -> bool:
+    """The cyclic test on <initial|final>; False for a NaN overlap."""
+    return abs(overlap) >= 1.0 - CYCLIC_TOL
+
+
+def is_cyclic(sched: Schedule, initial: QubitState) -> bool:
+    """True iff the evolution returns the state to itself up to a phase."""
+    return _cyclic(_follow(sched, initial)[0])
+
+
+def total_phase(sched: Schedule, initial: QubitState) -> float:
+    """Phase arg<initial|final> of a cyclic evolution, in (-pi, pi]."""
+    return geometric_phase(sched, initial).total
+
+
+def dynamical_phase(sched: Schedule, initial: QubitState) -> float:
+    """-sum_k <psi_k|H_k|psi_k> tau_k over the schedule (see ``_follow``).
+
+    Defined for any evolution, cyclic or not.
+    """
+    return _follow(sched, initial)[1]
 
 
 def geometric_phase(sched: Schedule, initial: QubitState) -> PhaseDecomposition:
-    """Total/dynamical/geometric split of a cyclic evolution."""
-    total = total_phase(sched, initial)
-    dyn = dynamical_phase(sched, initial)
-    return PhaseDecomposition(
-        total=total, dynamical=dyn, geometric=wrap_phase(total - dyn)
-    )
+    """Total/dynamical/geometric split of a cyclic evolution, from one pass.
+
+    Raises NonCyclicError if the state does not return to itself.
+    """
+    overlap, dyn = _follow(sched, initial)
+    if not _cyclic(overlap):
+        raise NonCyclicError(
+            f"initial state is not cyclic (|overlap| = {abs(overlap):.6g})"
+        )
+    total = wrap_phase(float(np.angle(overlap)))
+    return PhaseDecomposition(total=total, dynamical=dyn, geometric=wrap_phase(total - dyn))
 
 
 def sample_path(
@@ -206,7 +216,10 @@ def _fill_segments(
     operations of the whole-segment form, so no point depends on the block
     size.
     """
-    block = min(PATH_BLOCK, per_segment)
+    # numpy multiplies a one-row block by gemv, not gemm, and the two can give
+    # a zero coordinate opposite signs. So only a one-row segment gets a
+    # one-row block, and a one-row tail is done as the last two rows.
+    block = min(max(PATH_BLOCK, 2), per_segment)
     steps = np.arange(1.0, block + 1)
     theta = np.empty(block)
     coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
@@ -224,6 +237,8 @@ def _fill_segments(
             cross = (ny * z - nz * y, nz * x - nx * z, nx * y - ny * x)
             basis = np.array([along, r0 - along, cross])
             for lo in range(0, per_segment, block):
+                if lo == per_segment - 1 and lo > 0:
+                    lo -= 1  # a one-row tail
                 m = min(block, per_segment - lo)
                 rows = slice(start + lo, start + lo + m)
                 t = times[rows]

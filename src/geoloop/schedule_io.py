@@ -164,7 +164,7 @@ def _parse_step(obj, path: tuple):
 
 def _parse_document(doc: dict) -> AnySchedule:
     version = _require(doc, "version", "schedule file")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         raise _Reject(f"unsupported version {version!r}", ("version",))
     kind = _require(doc, "kind", "schedule file")
     label = doc.get("label", "")

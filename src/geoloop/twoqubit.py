@@ -145,6 +145,7 @@ def two_qubit_schedule(
     Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega).
     """
     CouplingStep(duration=0.0, coupling_j=p.coupling_j)  # J's rule, before dividing by J
+    omega = as_float("omega", omega)
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     y_pulse = ControlSegment(axis=(0, 1, 0), omega=omega, duration=math.pi / (2 * omega))

@@ -206,6 +206,22 @@ class TestVerify:
     def test_unknown_target(self, loop_file):
         assert main(["verify", str(loop_file), "--target", "hadamard"]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "noise"])
+    @pytest.mark.parametrize("name", ["u_chi", "controlled_u"])
+    def test_angle_target_needs_an_angle(self, loop_file, capsys, command, name):
+        capsys.readouterr()
+        assert main([command, str(loop_file), "--target", name]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: target {name} needs an angle, e.g. {name}:pi/4\n"
+
+    def test_two_qubit_file_against_controlled_u(self, tmp_path, capsys):
+        # controlled_u's line-selective propagator is for single-qubit files;
+        # a two-qubit file is compared as its own 4x4 gate.
+        sched = two_qubit_schedule(1.0, NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5))
+        save_schedule(sched, tmp_path / "u2.json")
+        assert main(["verify", str(tmp_path / "u2.json"), "--target", "controlled_u:pi/4"]) == 1
+        assert capsys.readouterr().out.endswith("FAIL\n")
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json"), "--target", "u2"]) == 2
 

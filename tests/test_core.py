@@ -106,6 +106,13 @@ class TestStateFromAngles:
         with pytest.raises(ValueError):
             state_from_angles(math.nan, 0.0)
 
+    @pytest.mark.parametrize("field", ["chi", "phi"])
+    def test_names_an_angle_beyond_the_float_range(self, field):
+        angles = {"chi": 0.0, "phi": 0.0, field: 10**400}
+        with pytest.raises(ValueError, match=f"^{field} is an integer beyond") as exc:
+            state_from_angles(**angles)
+        assert exc.value.field == field
+
     def test_rejects_bad_branch(self):
         with pytest.raises(ValueError):
             state_from_angles(0.0, 0.0, "sideways")

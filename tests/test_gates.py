@@ -93,6 +93,16 @@ class TestSingleLoopSchedule:
         with pytest.raises(ValueError, match="omega and omega2 must be finite and > 0"):
             single_loop_schedule(0.4, *freqs)
 
+    @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401-digit", "5001-digit"])
+    @pytest.mark.parametrize("field", ["chi", "omega", "omega2"])
+    def test_names_a_number_beyond_the_float_range(self, field, huge):
+        # Such an integer must not overflow in pi / omega, nor reach an error
+        # message, where 5000 digits pass Python's int-string limit.
+        args = {"chi": 0.3, "omega": 1.0, "omega2": 1.0, field: huge}
+        with pytest.raises(ValueError, match=f"^{field} is an integer beyond") as exc:
+            single_loop_schedule(**args)
+        assert exc.value.field == field
+
     def test_matches_closed_form_on_grid(self):
         rng = np.random.default_rng(13)
         for chi in CHI_GRID:

@@ -83,6 +83,24 @@ class TestPerturbSchedule:
         assert tau.tolist() == [[seg.duration for seg in LOOP]]
 
     @pytest.mark.parametrize("field", ["sigma_omega", "sigma_tau"])
+    def test_names_a_sigma_beyond_the_float_range(self, field):
+        with pytest.raises(ValueError, match=f"^{field} is an integer beyond") as exc:
+            fidelity_sweep(LOOP, u_chi(math.pi / 4), NoiseSpec(**{field: 10**400, "trials": 2}))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+    def test_counts_must_be_integers(self, field, bad):
+        # 2.5 trials used to pass the spec and fail inside fidelity_sweep.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer") as exc:
+            NoiseSpec(**{field: bad})
+        assert exc.value.field == field
+
+    def test_numpy_integers_are_counts(self):
+        spec = NoiseSpec(trials=np.int64(3), seed=np.uint64(2**64 - 1))
+        assert len(fidelity_sweep(LOOP, u_chi(math.pi / 4), spec).fidelities) == 3
+
+    @pytest.mark.parametrize("field", ["sigma_omega", "sigma_tau"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sigma(self, field, bad):
         # NaN fails every comparison, so "sigma < 0" alone lets it through.

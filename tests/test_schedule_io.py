@@ -115,6 +115,14 @@ class TestParseErrors:
             parse_schedule('{"version": 2, "kind": "single_qubit", "segments": []}')
         assert "version" in str(exc.value)
 
+    @pytest.mark.parametrize("version", ["true", "1.0", "1e0", "1.5"])
+    def test_version_is_the_integer_1(self, version):
+        # True == 1 == 1.0 in Python, but only an integer literal is a version.
+        text = '{"kind": "single_qubit", "segments": [], "version": %s}' % version
+        with pytest.raises(ScheduleParseError, match=r"^unsupported version ") as exc:
+            parse_schedule(text)
+        assert (exc.value.line, exc.value.column) == (1, text.index('"version"') + 1)
+
     def test_unknown_kind(self):
         with pytest.raises(ScheduleParseError):
             parse_schedule('{"version": 1, "kind": "three_qubit", "segments": []}')

@@ -136,6 +136,11 @@ class TestTwoQubitSchedule:
         with pytest.raises(ValueError):
             two_qubit_schedule(-1.0, PARAMS)
 
+    def test_names_omega_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="^omega is an integer beyond") as exc:
+            two_qubit_schedule(10**400, NmrParams(1, 1, 0.5))
+        assert exc.value.field == "omega"
+
     @pytest.mark.parametrize("j", [0.0, -0.5])
     def test_coupling_rule_is_coupling_steps(self, j):
         # The builder divides by J; it must reject J as CouplingStep does.
