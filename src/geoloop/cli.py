@@ -9,22 +9,13 @@ Exit codes: 0 success/PASS, 1 semantic failure (FAIL, non-cyclic state),
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import re
 import sys
 
-import numpy as np
-
-from . import gates, noise, phases, schedule_io
-from .core import Schedule, schedule_unitary, state_from_angles
-from .twoqubit import (
-    ConditionalSchedule,
-    controlled_u_reference,
-    line_selective_unitary,
-    two_qubit_unitary,
-    u2_line_selective,
-    u2_natural,
-)
+from . import schedule_io
+from .records import ConditionalSchedule, single_loop_schedule
 
 VERIFY_THRESHOLD = 1e-10
 
@@ -45,7 +36,10 @@ def parse_angle(text: str) -> float:
         if m.group("coef"):
             value *= float(m.group("coef"))
         if m.group("den"):
-            value /= float(m.group("den"))
+            den = float(m.group("den"))
+            if den == 0:
+                raise CliError(f"angle {text!r} has a zero denominator")
+            value /= den
         if m.group("sign") == "-":
             value = -value
     else:
@@ -77,35 +71,47 @@ def _load_single_qubit(path, what: str):
 
 def _initial_state(args):
     """The plus-branch state at the --chi and --phi arguments."""
+    from .core import state_from_angles
+
     return state_from_angles(parse_angle(args.chi), parse_angle(args.phi), "plus")
+
+
+def _resolve(name: str):
+    """The function at "module.function" in this package, importing its module."""
+    module, _, function = name.partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), function)
 
 
 # What a target name means: (reference gate, whether it takes an angle, the
 # propagator of a single-qubit schedule). A two-qubit schedule always gets
-# two_qubit_unitary.
+# two_qubit_unitary. Functions are named, not bound, so that a command
+# imports numpy and the gate modules only once it computes a gate.
 _TARGETS = {
-    "u_chi": (gates.u_chi, True, schedule_unitary),
-    "u2": (u2_natural, False, schedule_unitary),
-    "u2_prime": (u2_line_selective, False, schedule_unitary),
-    "controlled_u": (controlled_u_reference, True, line_selective_unitary),
+    "u_chi": ("gates.u_chi", True, "core.schedule_unitary"),
+    "u2": ("twoqubit.u2_natural", False, "core.schedule_unitary"),
+    "u2_prime": ("twoqubit.u2_line_selective", False, "core.schedule_unitary"),
+    "controlled_u": (
+        "twoqubit.controlled_u_reference", True, "twoqubit.line_selective_unitary"
+    ),
 }
 
 
 def _target(spec: str):
     """Reference gate of a named target, and the propagator its schedule gets."""
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name not in _TARGETS:
         raise CliError(f"unknown target {spec!r}")
     reference, takes_angle, propagator = _TARGETS[name]
-    if not takes_angle:
-        return reference(), propagator
-    if not arg:
+    if takes_angle and not arg:
         raise CliError(f"target {name} needs an angle, e.g. {name}:pi/4")
-    return reference(parse_angle(arg)), propagator
+    if colon and not takes_angle:
+        raise CliError(f"target {name} takes no angle")
+    angle = (parse_angle(arg),) if takes_angle else ()
+    return _resolve(reference)(*angle), _resolve(propagator)
 
 
 def cmd_synthesize(args) -> int:
-    sched = gates.single_loop_schedule(parse_angle(args.chi), args.omega, args.omega2)
+    sched = single_loop_schedule(parse_angle(args.chi), args.omega, args.omega2)
     try:
         schedule_io.save_schedule(sched, args.out)
     except OSError as exc:
@@ -118,14 +124,16 @@ def cmd_verify(args) -> int:
     sched = _load(args.schedule)
     target, propagator = _target(args.target)
     if isinstance(sched, ConditionalSchedule):
-        propagator = two_qubit_unitary
+        propagator = _resolve("twoqubit.two_qubit_unitary")
+    from .gates import compare_gates
+
     actual = propagator(sched)
     if actual.shape != target.shape:
         raise CliError(
             f"schedule produces a {actual.shape[0]}x{actual.shape[0]} gate but "
             f"target {args.target!r} is {target.shape[0]}x{target.shape[0]}"
         )
-    report = gates.compare_gates(actual, target)
+    report = compare_gates(actual, target)
     verdict = "PASS" if report.max_entry_deviation <= VERIFY_THRESHOLD else "FAIL"
     print(f"max_entry_deviation {report.max_entry_deviation:.12e}")
     print(f"trace_fidelity {report.trace_fidelity:.12f}")
@@ -135,6 +143,8 @@ def cmd_verify(args) -> int:
 
 def cmd_phase(args) -> int:
     sched = _load_single_qubit(args.schedule, "phase reports are")
+    from . import phases
+
     try:
         decomp = phases.geometric_phase(sched, _initial_state(args))
     except phases.NonCyclicError:
@@ -148,7 +158,11 @@ def cmd_phase(args) -> int:
 
 def cmd_export_path(args) -> int:
     sched = _load_single_qubit(args.schedule, "path export is")
-    path = phases.sample_path(sched, _initial_state(args), args.samples)
+    import numpy as np
+
+    from .phases import sample_path
+
+    path = sample_path(sched, _initial_state(args), args.samples)
     rows = np.column_stack((path.times(), path.points()))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -162,6 +176,8 @@ def cmd_export_path(args) -> int:
 
 def cmd_noise(args) -> int:
     sched = _load_single_qubit(args.schedule, "noise sweeps are")
+    from . import noise
+
     target, _ = _target(args.target)
     if target.shape != (2, 2):
         raise CliError("noise sweeps need a single-qubit target (u_chi:...)")

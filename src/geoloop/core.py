@@ -1,4 +1,4 @@
-"""States, Bloch vectors, piecewise-constant drives, and exact propagators.
+"""States, Bloch vectors, and exact propagators of piecewise-constant drives.
 
 Everything here is closed-form 2x2 linear algebra with hbar = 1: a drive
 segment with unit axis n, angular frequency omega, and duration tau generates
@@ -14,25 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The schedule model is defined in records, without numpy; re-exported here.
+from .records import (
+    NORM_TOL,
+    ControlSegment,
+    InvalidFieldError,
+    NonUnitAxisError,
+    Schedule,
+    as_float,
+    check_duration,
+)
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-NORM_TOL = 1e-12
 STATE_INPUT_TOL = 1e-9
-
-
-class InvalidFieldError(ValueError):
-    """A constructor rejected the value of one field, named by ``field``."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
-class NonUnitAxisError(InvalidFieldError):
-    """Rotation axis is not a unit vector."""
 
 
 class NonNormalizedStateError(ValueError):
@@ -78,79 +76,6 @@ class BlochVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-def as_float(field: str, value) -> float:
-    """float(value), naming field when value is an integer beyond the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        message = f"{field} is an integer beyond the float range"
-        raise InvalidFieldError(field, message) from None
-
-
-def check_duration(omega: float, duration: float) -> None:
-    """Require a finite duration >= 0 and a finite rotation angle omega * duration.
-
-    omega must already be a number that float() converts.
-    """
-    if not 0.0 <= as_float("duration", duration) < math.inf:
-        message = f"duration must be finite and >= 0, got {duration}"
-    elif not math.isfinite(float(omega) * float(duration)):  # finite factors can overflow
-        message = f"rotation angle {omega!r} * {duration!r} is not finite"
-    else:
-        return
-    raise InvalidFieldError("duration", message)
-
-
-@dataclass(frozen=True)
-class ControlSegment:
-    """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
-
-    Zero-duration segments are legal and act as the identity. NaN and
-    infinite values, and an overflowing angle omega * duration, are rejected.
-    """
-
-    axis: tuple[float, float, float]
-    omega: float
-    duration: float
-
-    def __post_init__(self):
-        ax = tuple(as_float("axis", c) for c in self.axis)
-        if len(ax) != 3:
-            raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
-        norm = math.sqrt(sum(c * c for c in ax))
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
-            raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
-        if not 0.0 <= as_float("omega", self.omega) < math.inf:
-            raise InvalidFieldError(
-                "omega", f"omega must be finite and >= 0, got {self.omega}"
-            )
-        check_duration(self.omega, self.duration)
-        object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "duration", float(self.duration))
-
-    def hamiltonian(self) -> np.ndarray:
-        nx, ny, nz = self.axis
-        return 0.5 * self.omega * (nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered list of drive segments; empty schedule is the identity."""
-
-    segments: tuple[ControlSegment, ...] = ()
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self):
-        return iter(self.segments)
 
 
 def wrap_phase(theta: float) -> float:

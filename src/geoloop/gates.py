@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSegment, Schedule, as_float, unitarity_defect
+from .core import unitarity_defect
 
-
-class ChiOutOfRangeError(ValueError):
-    """chi outside [0, pi/2]: the last segment would need negative duration."""
+# Defined in records, without numpy; re-exported here.
+from .records import ChiOutOfRangeError, check_chi, single_loop_schedule
 
 
 class DimensionMismatchError(ValueError):
@@ -56,36 +55,6 @@ def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
             [off * np.exp(1j * phi), eg * s2 + np.conj(eg) * c2],
         ],
         dtype=complex,
-    )
-
-
-def check_chi(chi: float) -> None:
-    """Require chi in [0, pi/2], the range of the single-loop gate."""
-    if not 0.0 <= as_float("chi", chi) <= math.pi / 2:
-        raise ChiOutOfRangeError(f"chi out of range [0, pi/2], got {chi}")
-
-
-def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
-    """Four-segment loop realizing the geometric gate u_chi(chi).
-
-    Segments: z for pi/(2 omega), x for pi/omega2, z for pi/(2 omega),
-    then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
-    legal zero-duration identity.
-    """
-    check_chi(chi)
-    omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
-    if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
-        raise ValueError("omega and omega2 must be finite and > 0")
-    return Schedule(
-        segments=(
-            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
-            ControlSegment(axis=(1, 0, 0), omega=omega2, duration=math.pi / omega2),
-            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
-            ControlSegment(
-                axis=(0, -1, 0), omega=omega2, duration=(math.pi - 2 * chi) / omega2
-            ),
-        ),
-        label=f"single-loop chi={chi:.12g}",
     )
 
 

@@ -1,0 +1,192 @@
+"""The schedule model: drive segments, coupling steps and the schedules they form.
+
+This is the layer that every other module builds on, and it needs no numpy:
+building, reading, writing and checking a schedule costs no numeric import.
+Constructors validate their fields here, once; ``core``, ``gates`` and
+``twoqubit`` re-export these names next to the numerics that use them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Union
+
+NORM_TOL = 1e-12
+
+
+class InvalidFieldError(ValueError):
+    """A constructor rejected the value of one field, named by ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class NonUnitAxisError(InvalidFieldError):
+    """Rotation axis is not a unit vector."""
+
+
+class InvalidCouplingError(InvalidFieldError):
+    """Coupling constant J must be positive to define the coupling interval."""
+
+
+class ChiOutOfRangeError(ValueError):
+    """chi outside [0, pi/2]: the last segment would need negative duration."""
+
+
+def as_float(field: str, value) -> float:
+    """float(value), naming field when value is an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        message = f"{field} is an integer beyond the float range"
+        raise InvalidFieldError(field, message) from None
+
+
+def check_duration(omega: float, duration: float) -> None:
+    """Require a finite duration >= 0 and a finite rotation angle omega * duration.
+
+    omega must already be a number that float() converts.
+    """
+    if not 0.0 <= as_float("duration", duration) < math.inf:
+        message = f"duration must be finite and >= 0, got {duration}"
+    elif not math.isfinite(float(omega) * float(duration)):  # finite factors can overflow
+        message = f"rotation angle {omega!r} * {duration!r} is not finite"
+    else:
+        return
+    raise InvalidFieldError("duration", message)
+
+
+@dataclass(frozen=True)
+class ControlSegment:
+    """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
+
+    Zero-duration segments are legal and act as the identity. NaN and
+    infinite values, and an overflowing angle omega * duration, are rejected.
+    """
+
+    axis: tuple[float, float, float]
+    omega: float
+    duration: float
+
+    def __post_init__(self):
+        ax = tuple(as_float("axis", c) for c in self.axis)
+        if len(ax) != 3:
+            raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
+        norm = math.sqrt(sum(c * c for c in ax))
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
+            raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
+        if not 0.0 <= as_float("omega", self.omega) < math.inf:
+            raise InvalidFieldError(
+                "omega", f"omega must be finite and >= 0, got {self.omega}"
+            )
+        check_duration(self.omega, self.duration)
+        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "duration", float(self.duration))
+
+    def hamiltonian(self):
+        """The 2x2 matrix (omega/2) (axis . sigma), as a numpy array."""
+        from .core import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+        nx, ny, nz = self.axis
+        return 0.5 * self.omega * (nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Ordered list of drive segments; empty schedule is the identity."""
+
+    segments: tuple[ControlSegment, ...] = ()
+    label: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", tuple(self.segments))
+
+    def __len__(self) -> int:
+        return len(self.segments)
+
+    def __iter__(self):
+        return iter(self.segments)
+
+
+@dataclass(frozen=True)
+class CouplingStep:
+    """Interval with the drive off and the J-coupling on.
+
+    In the effective (accessory-dressed) picture this applies
+    exp(-i * pi * J * sigma_z * duration) on qubit a when b is up and the
+    identity when b is down: a z rotation at 2 pi J, which ``axis`` and
+    ``omega`` expose as a ControlSegment does. NaN and infinite values, and
+    an overflowing angle 2 pi J * duration, are rejected.
+    """
+
+    duration: float
+    coupling_j: float
+
+    axis = (0.0, 0.0, 1.0)
+
+    def __post_init__(self):
+        if not 0.0 < as_float("coupling_j", self.coupling_j) < math.inf:
+            raise InvalidCouplingError(
+                "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
+            )
+        check_duration(self.omega, self.duration)
+
+    @property
+    def omega(self) -> float:
+        """Angular frequency 2 pi J of the effective z rotation."""
+        return 2.0 * math.pi * self.coupling_j
+
+
+ConditionalStep = Union[ControlSegment, CouplingStep]
+
+
+@dataclass(frozen=True)
+class ConditionalSchedule:
+    """Ordered conditional steps on qubit a plus the conditioning mode.
+
+    natural: drive pulses hit qubit a regardless of b; only the coupling
+    step is conditional. line_selective: the pulses are resonant only when
+    b is up, so the whole sequence acts on the b = up block.
+    """
+
+    steps: tuple[ConditionalStep, ...]
+    mode: str = "natural"
+    label: str = ""
+
+    def __post_init__(self):
+        if self.mode not in ("natural", "line_selective"):
+            raise InvalidFieldError("mode", f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "steps", tuple(self.steps))
+
+
+def check_chi(chi: float) -> None:
+    """Require chi in [0, pi/2], the range of the single-loop gate."""
+    if not 0.0 <= as_float("chi", chi) <= math.pi / 2:
+        raise ChiOutOfRangeError(f"chi out of range [0, pi/2], got {chi}")
+
+
+def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
+    """Four-segment loop realizing the geometric gate u_chi(chi).
+
+    Segments: z for pi/(2 omega), x for pi/omega2, z for pi/(2 omega),
+    then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
+    legal zero-duration identity.
+    """
+    check_chi(chi)
+    omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
+    if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
+        raise ValueError("omega and omega2 must be finite and > 0")
+    return Schedule(
+        segments=(
+            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
+            ControlSegment(axis=(1, 0, 0), omega=omega2, duration=math.pi / omega2),
+            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
+            ControlSegment(
+                axis=(0, -1, 0), omega=omega2, duration=(math.pi - 2 * chi) / omega2
+            ),
+        ),
+        label=f"single-loop chi={chi:.12g}",
+    )

@@ -12,8 +12,13 @@ import json
 from json.decoder import WHITESPACE
 from typing import NamedTuple, Union
 
-from .core import ControlSegment, InvalidFieldError, Schedule
-from .twoqubit import ConditionalSchedule, CouplingStep
+from .records import (
+    ConditionalSchedule,
+    ControlSegment,
+    CouplingStep,
+    InvalidFieldError,
+    Schedule,
+)
 
 FORMAT_VERSION = 1
 

@@ -12,23 +12,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .core import ControlSegment, IDENTITY_2, InvalidFieldError, SIGMA_Z, Schedule
-from .core import as_float, check_duration, drive_arrays, ordered_product, su2
-from .gates import check_chi, single_loop_schedule, u_chi
+from .core import IDENTITY_2, SIGMA_Z, drive_arrays, ordered_product, su2
+from .gates import u_chi
+
+# Defined in records, without numpy; re-exported here.
+from .records import (
+    ConditionalSchedule,
+    ConditionalStep,
+    ControlSegment,
+    CouplingStep,
+    InvalidCouplingError,
+    Schedule,
+    as_float,
+    check_chi,
+    single_loop_schedule,
+)
 
 IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 class MissingAccessoryError(ValueError):
     """No accessory-field frequency set on the parameters."""
-
-
-class InvalidCouplingError(InvalidFieldError):
-    """Coupling constant J must be positive to define the coupling interval."""
 
 
 @dataclass(frozen=True)
@@ -56,57 +63,6 @@ class NmrParams:
             coupling_j=self.coupling_j,
             accessory=self.omega_a - math.pi * self.coupling_j,
         )
-
-
-@dataclass(frozen=True)
-class CouplingStep:
-    """Interval with the drive off and the J-coupling on.
-
-    In the effective (accessory-dressed) picture this applies
-    exp(-i * pi * J * sigma_z * duration) on qubit a when b is up and the
-    identity when b is down: a z rotation at 2 pi J, which ``axis`` and
-    ``omega`` expose as a ControlSegment does. NaN and infinite values, and
-    an overflowing angle 2 pi J * duration, are rejected.
-    """
-
-    duration: float
-    coupling_j: float
-
-    axis = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 < as_float("coupling_j", self.coupling_j) < math.inf:
-            raise InvalidCouplingError(
-                "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
-            )
-        check_duration(self.omega, self.duration)
-
-    @property
-    def omega(self) -> float:
-        """Angular frequency 2 pi J of the effective z rotation."""
-        return 2.0 * math.pi * self.coupling_j
-
-
-ConditionalStep = Union[ControlSegment, CouplingStep]
-
-
-@dataclass(frozen=True)
-class ConditionalSchedule:
-    """Ordered conditional steps on qubit a plus the conditioning mode.
-
-    natural: drive pulses hit qubit a regardless of b; only the coupling
-    step is conditional. line_selective: the pulses are resonant only when
-    b is up, so the whole sequence acts on the b = up block.
-    """
-
-    steps: tuple[ConditionalStep, ...]
-    mode: str = "natural"
-    label: str = ""
-
-    def __post_init__(self):
-        if self.mode not in ("natural", "line_selective"):
-            raise InvalidFieldError("mode", f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "steps", tuple(self.steps))
 
 
 def nmr_hamiltonian(p: NmrParams) -> np.ndarray:

@@ -194,6 +194,7 @@ COUNTS = [
 ARGUMENT_VALUES = [
     "1e200", "1e308", "5e-324", "-1.5", "0", "nan", "inf", "-inf", "true", "x", "[1]",
     "1" + "0" * 400, "1" + "0" * 5000,
+    "pi/0", "0pi/0.0", "-2pi/0.00",  # pi-literals with a zero denominator
 ]
 COUNT_VALUES = ["-1", "0", "1", "2", "10", "10000", "1e200", "5e-324", "nan", "inf",
                 "true", "x", "[1]"]

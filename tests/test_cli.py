@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -56,6 +58,13 @@ class TestParseAngle:
         with pytest.raises(CliError):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["pi/0", "0pi/0.0", "-2pi/0.00", "+3.5pi/0"])
+    def test_rejects_zero_denominator(self, text):
+        from geoloop.cli import CliError
+
+        with pytest.raises(CliError, match=f"^angle {re.escape(repr(text))} "):
+            parse_angle(text)
+
 
 class TestInputErrors:
     """Bad command-line values exit 2 with one 'error: ' line, no traceback."""
@@ -87,6 +96,15 @@ class TestInputErrors:
             ["verify", "{bigaxis}", "--target", "u_chi:pi/4"],
             # a 5001-digit integer, beyond Python's int-string limit
             ["verify", "{longint}", "--target", "u_chi:pi/4"],
+            # a pi-literal with a zero denominator, in each kind of angle argument
+            ["synthesize", "--chi", "pi/0", "--omega", "1", "--omega2", "1",
+             "--out", "{tmp}/s.json"],
+            ["verify", "{loop}", "--target", "u_chi:pi/0"],
+            ["verify", "{loop}", "--target", "controlled_u:0pi/0.0"],
+            ["phase", "{loop}", "--chi", "pi/0"],
+            ["phase", "{loop}", "--chi", "pi/4", "--phi", "0pi/0.0"],
+            ["export-path", "{loop}", "--chi", "pi/4", "--phi=-pi/0", "--out", "{tmp}/p.csv"],
+            ["noise", "{loop}", "--target", "u_chi:pi/0", "--trials", "2"],
         ],
     )
     def test_exits_2(self, loop_file, tmp_path, capsys, argv):
@@ -213,6 +231,17 @@ class TestVerify:
         assert main([command, str(loop_file), "--target", name]) == 2
         err = capsys.readouterr().err
         assert err == f"error: target {name} needs an angle, e.g. {name}:pi/4\n"
+
+    @pytest.mark.parametrize("name, mode", [("u2", "natural"),
+                                            ("u2_prime", "line_selective")])
+    @pytest.mark.parametrize("suffix", ["garbage", "pi/4", ""])
+    def test_angle_free_target_rejects_an_angle(self, tmp_path, capsys, name, mode, suffix):
+        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
+        save_schedule(two_qubit_schedule(1.0, p, mode), tmp_path / "u2.json")
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "u2.json"), "--target", f"{name}:{suffix}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: target {name} takes no angle\n")
 
     def test_two_qubit_file_against_controlled_u(self, tmp_path, capsys):
         # controlled_u's line-selective propagator is for single-qubit files;
@@ -349,6 +378,63 @@ def test_cli_import_does_not_load_numpy_random():
     assert out.strip() == "False"
 
 
+# Runs `python -m geoloop.cli ARGS` in this process, then prints the names of
+# the loaded modules as the last line of stdout.
+CLI_PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("geoloop.cli", run_name="__main__")
+finally:
+    print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def probe_cli(cwd, *argv):
+    """(exit code, stdout without the module line, stderr, loaded module names)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(geoloop.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CLI_PROBE, *argv], capture_output=True,
+                         text=True, env=env, cwd=cwd, timeout=60)
+    *out, modules = run.stdout.splitlines()
+    return run.returncode, out, run.stderr, set(json.loads(modules))
+
+
+def test_cold_commands_load_no_numpy(tmp_path):
+    # Writing a schedule, and rejecting a file that does not parse, need no
+    # numerics: these processes must not pay for the numpy import.
+    rc, out, err, modules = probe_cli(
+        tmp_path, "synthesize", "--chi", "pi/4", "--omega", "1.0", "--omega2", "1.0",
+        "--out", "loop.json")
+    assert (rc, out, err) == (0, ["wrote loop.json"], "")
+    assert "numpy" not in modules
+    text = (tmp_path / "loop.json").read_text()
+    (tmp_path / "bad.json").write_text(text.replace('"label"', '"colour": "red", "label"'))
+    for argv in (["verify", "bad.json", "--target", "u_chi:pi/4"],
+                 ["phase", "bad.json", "--chi", "pi/4"],
+                 ["export-path", "bad.json", "--chi", "pi/4", "--out", "p.csv"],
+                 ["noise", "bad.json", "--target", "u_chi:pi/4"]):
+        rc, out, err, modules = probe_cli(tmp_path, *argv)
+        assert (rc, out) == (2, []), argv
+        assert err == ("error: bad.json: unknown field 'colour' in schedule file "
+                       "(line 4, column 3)\n")
+        assert "numpy" not in modules, argv
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["verify", "loop.json", "--target", "u_chi:pi/4"],
+     {"geoloop.noise", "geoloop.phases", "numpy.random"}),
+    (["phase", "loop.json", "--chi", "pi/4"], {"geoloop.noise", "numpy.random"}),
+    (["export-path", "loop.json", "--chi", "pi/4", "--out", "p.csv"],
+     {"geoloop.noise", "numpy.random"}),
+])
+def test_commands_load_only_what_they_compute(tmp_path, argv, unused):
+    main(["synthesize", "--chi", "pi/4", "--omega", "1.0", "--omega2", "1.0",
+          "--out", str(tmp_path / "loop.json")])
+    rc, _, err, modules = probe_cli(tmp_path, *argv)
+    assert (rc, err) == (0, "")
+    assert "numpy" in modules
+    assert not unused & modules
+
+
 GOLDEN_STDOUT = {
     # argv -> sha256 of stdout, recorded before schedule validation moved
     # into the constructors; every one of these commands exits 0.
@@ -380,6 +466,7 @@ GOLDEN_ERRORS = {
     "phase u2.json --chi 0":
         (2, "error: phase reports are defined for single-qubit schedules\n"),
     "phase loop.json --chi nan": (2, "error: angle 'nan' is not finite\n"),
+    "phase loop.json --chi pi/0": (2, "error: angle 'pi/0' has a zero denominator\n"),
     "phase loop.json --chi 0": (1, "initial state not cyclic\n"),
     "noise loop.json --target u_chi:pi/4 --trials 0": (2, "error: trials must be >= 1\n"),
     "noise loop.json --target u_chi:pi/4 --sigma-tau -1":
@@ -399,6 +486,9 @@ GOLDEN_ERRORS = {
     "verify axis.json --target u_chi:0":
         (2, "error: axis.json: invalid segment: axis norm 1.7320508075688772 differs "
             "from 1 (line 2, column 16)\n"),
+    "verify u2.json --target u2:garbage": (2, "error: target u2 takes no angle\n"),
+    "verify u2p.json --target u2_prime:pi/4":
+        (2, "error: target u2_prime takes no angle\n"),
     "verify mode.json --target u2":
         (2, "error: mode.json: unknown mode 'magic' (line 1, column 37)\n"),
     "verify longint.json --target u_chi:0":
