@@ -9,8 +9,8 @@ propagator in the package comes from one batched kernel, ``su2``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .records import (
     InvalidFieldError,
     NonUnitAxisError,
     Schedule,
+    _Record,
+    _setfield,
     as_float,
     check_duration,
 )
@@ -37,23 +39,23 @@ class NonNormalizedStateError(ValueError):
     """State amplitudes are not normalized."""
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(_Record):
     """Pure qubit state (amp_up, amp_down) in the computational basis."""
 
+    __slots__ = ("amp_up", "amp_down")
     amp_up: complex
     amp_down: complex
 
-    def __post_init__(self):
-        norm = abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2
+    def __init__(self, amp_up: complex, amp_down: complex):
+        norm = abs(amp_up) ** 2 + abs(amp_down) ** 2
         if not abs(norm - 1.0) <= STATE_INPUT_TOL:  # NaN-safe
             raise NonNormalizedStateError(
                 f"|amp_up|^2 + |amp_down|^2 = {norm!r}, expected 1"
             )
         # Renormalize the residual so downstream algebra sees norm 1 to 1e-12.
         scale = 1.0 / math.sqrt(norm)
-        object.__setattr__(self, "amp_up", complex(self.amp_up) * scale)
-        object.__setattr__(self, "amp_down", complex(self.amp_down) * scale)
+        _setfield(self, "amp_up", complex(amp_up) * scale)
+        _setfield(self, "amp_down", complex(amp_down) * scale)
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.amp_up, self.amp_down], dtype=complex)
@@ -66,13 +68,18 @@ class QubitState:
         )
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Record):
     """Unit vector on the Bloch sphere."""
 
+    __slots__ = ("x", "y", "z")
     x: float
     y: float
     z: float
+
+    def __init__(self, x: float, y: float, z: float):
+        _setfield(self, "x", x)
+        _setfield(self, "y", y)
+        _setfield(self, "z", z)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -182,7 +189,14 @@ def propagate(sched: Schedule, initial: QubitState) -> QubitState:
     return QubitState(vec[0], vec[1])
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """Read-only real dim x dim identity, built once per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity."""
-    dim = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    return float(abs(u.conj().T @ u - _identity(u.shape[0])).max())

@@ -12,31 +12,37 @@ the closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import unitarity_defect
 
 # Defined in records, without numpy; re-exported here.
-from .records import ChiOutOfRangeError, check_chi, single_loop_schedule
+from .records import ChiOutOfRangeError, _Record, _setfield, check_chi, single_loop_schedule
 
 
 class DimensionMismatchError(ValueError):
-    """Gate matrices have different dimensions."""
+    """Gate matrices are not two square matrices of one dimension."""
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(_Record):
     """Comparison of two gate matrices.
 
     max_entry_deviation is global-phase-sensitive; trace_fidelity
     |tr(U^dag V)| / dim is global-phase-blind.
     """
 
+    __slots__ = ("max_entry_deviation", "trace_fidelity", "unitarity_defect")
     max_entry_deviation: float
     trace_fidelity: float
     unitarity_defect: float
+
+    def __init__(
+        self, max_entry_deviation: float, trace_fidelity: float, unitarity_defect: float
+    ):
+        _setfield(self, "max_entry_deviation", max_entry_deviation)
+        _setfield(self, "trace_fidelity", trace_fidelity)
+        _setfield(self, "unitarity_defect", unitarity_defect)
 
 
 def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
@@ -65,15 +71,21 @@ def u_chi(chi: float) -> np.ndarray:
 
 
 def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
-    """Entrywise (global-phase-sensitive) comparison of two gate matrices."""
+    """Entrywise (global-phase-sensitive) comparison of two gate matrices.
+
+    u and v must be square matrices of one shape; any other pair of shapes
+    raises DimensionMismatchError.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"shapes {u.shape} and {v.shape} differ")
+    if u.ndim != 2 or not u.shape[0] == u.shape[1] > 0:
+        raise DimensionMismatchError(f"need square matrices, got shape {u.shape}")
     dim = u.shape[0]
     return GateReport(
-        max_entry_deviation=float(np.max(np.abs(u - v))),
-        trace_fidelity=float(abs(np.trace(u.conj().T @ v)) / dim),
+        max_entry_deviation=float(abs(u - v).max()),
+        trace_fidelity=float(abs((u.conj().T @ v).trace()) / dim),
         unitarity_defect=max(unitarity_defect(u), unitarity_defect(v)),
     )
 

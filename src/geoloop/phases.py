@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .core import (
     su2,
     wrap_phase,
 )
+from .records import _Record, _setfield
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -52,33 +52,42 @@ class OpenPathError(ValueError):
     """Bloch path does not close, so no enclosed area exists."""
 
 
-@dataclass(frozen=True)
-class PhaseDecomposition:
+class PhaseDecomposition(_Record):
     """Total, dynamical, and geometric phase of one cyclic evolution.
 
     total and geometric are reduced to (-pi, pi]; the identity
     total = dynamical + geometric holds mod 2*pi.
     """
 
+    __slots__ = ("total", "dynamical", "geometric")
     total: float
     dynamical: float
     geometric: float
 
+    def __init__(self, total: float, dynamical: float, geometric: float):
+        _setfield(self, "total", total)
+        _setfield(self, "dynamical", dynamical)
+        _setfield(self, "geometric", geometric)
 
-@dataclass(frozen=True, eq=False)
-class BlochPath:
+
+class BlochPath(_Record):
     """Time-stamped Bloch-sphere trajectory, stored as two arrays.
 
     t holds the sample times, shape (n,); r holds the Bloch vectors, shape
     (n, 3), with r[i] reached at time t[i]. Both are stored read-only.
+    Paths compare and hash by identity, not by value.
     """
 
+    __slots__ = ("t", "r")
     t: np.ndarray
     r: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).view()
-        r = np.asarray(self.r, dtype=float).view()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, t: np.ndarray, r: np.ndarray):
+        t = np.asarray(t, dtype=float).view()
+        r = np.asarray(r, dtype=float).view()
         if t.ndim != 1 or r.shape != (len(t), 3):
             raise ValueError(
                 f"need times of shape (n,) and points of shape (n, 3), "
@@ -88,8 +97,11 @@ class BlochPath:
             raise ValueError("path times and points must be finite")
         t.flags.writeable = False
         r.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
+        _setfield(self, "t", t)
+        _setfield(self, "r", r)
+
+    def __reduce__(self):  # through __init__, so a copy's arrays are read-only too
+        return self.__class__, (self.t, self.r)
 
     def points(self) -> np.ndarray:
         return self.r

@@ -9,7 +9,7 @@ Constructors validate their fields here, once; ``core``, ``gates`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 NORM_TOL = 1e-12
@@ -35,6 +35,60 @@ class ChiOutOfRangeError(ValueError):
     """chi outside [0, pi/2]: the last segment would need negative duration."""
 
 
+_setfield = object.__setattr__
+
+
+def _restore(cls, values):
+    """Rebuild a record from its field values without re-running __init__."""
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _setfield(record, name, value)
+    return record
+
+
+class _Record:
+    """Immutable value record: its fields, two or more, are its classes' ``__slots__``.
+
+    Fields are set once, in ``__init__`` through ``_setfield``; assigning or
+    deleting one afterwards raises AttributeError. Records compare and hash
+    by their field values, and only against records of the same class; the
+    repr lists the fields by name. Pickling and copying restore the stored
+    values as they are, without validating them again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = (vars(klass).get("__slots__", ()) for klass in reversed(cls.__mro__))
+        cls._fields = tuple(name for names in slots for name in names)
+        cls.__match_args__ = cls._fields
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (self.__class__, self._values(self))
+
+
 def as_float(field: str, value) -> float:
     """float(value), naming field when value is an integer beyond the float range."""
     try:
@@ -58,33 +112,31 @@ def check_duration(omega: float, duration: float) -> None:
     raise InvalidFieldError("duration", message)
 
 
-@dataclass(frozen=True)
-class ControlSegment:
+class ControlSegment(_Record):
     """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
 
     Zero-duration segments are legal and act as the identity. NaN and
     infinite values, and an overflowing angle omega * duration, are rejected.
     """
 
+    __slots__ = ("axis", "omega", "duration")
     axis: tuple[float, float, float]
     omega: float
     duration: float
 
-    def __post_init__(self):
-        ax = tuple(as_float("axis", c) for c in self.axis)
+    def __init__(self, axis: tuple[float, float, float], omega: float, duration: float):
+        ax = tuple(as_float("axis", c) for c in axis)
         if len(ax) != 3:
             raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
         norm = math.sqrt(sum(c * c for c in ax))
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
             raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
-        if not 0.0 <= as_float("omega", self.omega) < math.inf:
-            raise InvalidFieldError(
-                "omega", f"omega must be finite and >= 0, got {self.omega}"
-            )
-        check_duration(self.omega, self.duration)
-        object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "duration", float(self.duration))
+        if not 0.0 <= as_float("omega", omega) < math.inf:
+            raise InvalidFieldError("omega", f"omega must be finite and >= 0, got {omega}")
+        check_duration(omega, duration)
+        _setfield(self, "axis", ax)
+        _setfield(self, "omega", float(omega))
+        _setfield(self, "duration", float(duration))
 
     def hamiltonian(self):
         """The 2x2 matrix (omega/2) (axis . sigma), as a numpy array."""
@@ -94,15 +146,16 @@ class ControlSegment:
         return 0.5 * self.omega * (nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Record):
     """Ordered list of drive segments; empty schedule is the identity."""
 
-    segments: tuple[ControlSegment, ...] = ()
-    label: str = ""
+    __slots__ = ("segments", "label")
+    segments: tuple[ControlSegment, ...]
+    label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments: tuple[ControlSegment, ...] = (), label: str = ""):
+        _setfield(self, "segments", tuple(segments))
+        _setfield(self, "label", label)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -111,8 +164,7 @@ class Schedule:
         return iter(self.segments)
 
 
-@dataclass(frozen=True)
-class CouplingStep:
+class CouplingStep(_Record):
     """Interval with the drive off and the J-coupling on.
 
     In the effective (accessory-dressed) picture this applies
@@ -122,12 +174,15 @@ class CouplingStep:
     an overflowing angle 2 pi J * duration, are rejected.
     """
 
+    __slots__ = ("duration", "coupling_j")
     duration: float
     coupling_j: float
 
     axis = (0.0, 0.0, 1.0)
 
-    def __post_init__(self):
+    def __init__(self, duration: float, coupling_j: float):
+        _setfield(self, "duration", duration)
+        _setfield(self, "coupling_j", coupling_j)
         if not 0.0 < as_float("coupling_j", self.coupling_j) < math.inf:
             raise InvalidCouplingError(
                 "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
@@ -143,8 +198,7 @@ class CouplingStep:
 ConditionalStep = Union[ControlSegment, CouplingStep]
 
 
-@dataclass(frozen=True)
-class ConditionalSchedule:
+class ConditionalSchedule(_Record):
     """Ordered conditional steps on qubit a plus the conditioning mode.
 
     natural: drive pulses hit qubit a regardless of b; only the coupling
@@ -152,14 +206,19 @@ class ConditionalSchedule:
     b is up, so the whole sequence acts on the b = up block.
     """
 
+    __slots__ = ("steps", "mode", "label")
     steps: tuple[ConditionalStep, ...]
-    mode: str = "natural"
-    label: str = ""
+    mode: str
+    label: str
 
-    def __post_init__(self):
-        if self.mode not in ("natural", "line_selective"):
-            raise InvalidFieldError("mode", f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(
+        self, steps: tuple[ConditionalStep, ...], mode: str = "natural", label: str = ""
+    ):
+        if mode not in ("natural", "line_selective"):
+            raise InvalidFieldError("mode", f"unknown mode {mode!r}")
+        _setfield(self, "steps", tuple(steps))
+        _setfield(self, "mode", mode)
+        _setfield(self, "label", label)
 
 
 def check_chi(chi: float) -> None:

@@ -11,7 +11,6 @@ varying fastest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .records import (
     CouplingStep,
     InvalidCouplingError,
     Schedule,
+    _Record,
+    _setfield,
     as_float,
     check_chi,
     single_loop_schedule,
@@ -38,16 +39,22 @@ class MissingAccessoryError(ValueError):
     """No accessory-field frequency set on the parameters."""
 
 
-@dataclass(frozen=True)
-class NmrParams:
+class NmrParams(_Record):
     """Frequencies and coupling of the two-spin system; all finite."""
 
+    __slots__ = ("omega_a", "omega_b", "coupling_j", "accessory")
     omega_a: float
     omega_b: float
     coupling_j: float
-    accessory: float | None = None
+    accessory: float | None
 
-    def __post_init__(self):
+    def __init__(
+        self, omega_a: float, omega_b: float, coupling_j: float, accessory: float | None = None
+    ):
+        _setfield(self, "omega_a", omega_a)
+        _setfield(self, "omega_b", omega_b)
+        _setfield(self, "coupling_j", coupling_j)
+        _setfield(self, "accessory", accessory)
         names = ["omega_a", "omega_b", "coupling_j"]
         if self.accessory is not None:
             names.append("accessory")

@@ -398,14 +398,19 @@ def probe_cli(cwd, *argv):
     return run.returncode, out, run.stderr, set(json.loads(modules))
 
 
+# Modules that no command needs before it computes: records are plain classes.
+COLD_UNUSED = {"numpy", "dataclasses", "inspect"}
+
+
 def test_cold_commands_load_no_numpy(tmp_path):
     # Writing a schedule, and rejecting a file that does not parse, need no
-    # numerics: these processes must not pay for the numpy import.
+    # numerics: these processes must not pay for the numpy import, nor for
+    # dataclasses and the inspect module it loads.
     rc, out, err, modules = probe_cli(
         tmp_path, "synthesize", "--chi", "pi/4", "--omega", "1.0", "--omega2", "1.0",
         "--out", "loop.json")
     assert (rc, out, err) == (0, ["wrote loop.json"], "")
-    assert "numpy" not in modules
+    assert not COLD_UNUSED & modules
     text = (tmp_path / "loop.json").read_text()
     (tmp_path / "bad.json").write_text(text.replace('"label"', '"colour": "red", "label"'))
     for argv in (["verify", "bad.json", "--target", "u_chi:pi/4"],
@@ -416,15 +421,15 @@ def test_cold_commands_load_no_numpy(tmp_path):
         assert (rc, out) == (2, []), argv
         assert err == ("error: bad.json: unknown field 'colour' in schedule file "
                        "(line 4, column 3)\n")
-        assert "numpy" not in modules, argv
+        assert not COLD_UNUSED & modules, argv
 
 
 @pytest.mark.parametrize("argv, unused", [
     (["verify", "loop.json", "--target", "u_chi:pi/4"],
-     {"geoloop.noise", "geoloop.phases", "numpy.random"}),
-    (["phase", "loop.json", "--chi", "pi/4"], {"geoloop.noise", "numpy.random"}),
+     {"geoloop.noise", "geoloop.phases", "numpy.random", "dataclasses"}),
+    (["phase", "loop.json", "--chi", "pi/4"], {"geoloop.noise", "numpy.random", "dataclasses"}),
     (["export-path", "loop.json", "--chi", "pi/4", "--out", "p.csv"],
-     {"geoloop.noise", "numpy.random"}),
+     {"geoloop.noise", "numpy.random", "dataclasses"}),
 ])
 def test_commands_load_only_what_they_compute(tmp_path, argv, unused):
     main(["synthesize", "--chi", "pi/4", "--omega", "1.0", "--omega2", "1.0",

@@ -148,6 +148,28 @@ class TestCompareGates:
         with pytest.raises(DimensionMismatchError):
             compare_gates(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 3), (1, 2, 2), (0, 0)])
+    def test_non_square_matrices(self, shape):
+        # Each shape used to fail inside numpy: IndexError, diag, broadcasting,
+        # matmul core dimensions, and a zero-size maximum.
+        u = np.ones(shape, dtype=complex)
+        with pytest.raises(DimensionMismatchError, match=r"need square matrices"):
+            compare_gates(u, u)
+
+    def test_report_bits_unchanged(self):
+        # Reference arithmetic through the numpy functions the report was
+        # first written with; the report must agree bit for bit.
+        rng = np.random.default_rng(11)
+        for dim in (2, 4) * 50:
+            u, v = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+            eye = np.eye(dim)
+            r = compare_gates(u, v)
+            assert r.max_entry_deviation == float(np.max(np.abs(u - v)))
+            assert r.trace_fidelity == float(abs(np.trace(u.conj().T @ v)) / dim)
+            assert r.unitarity_defect == max(
+                float(np.max(np.abs(w.conj().T @ w - eye))) for w in (u, v)
+            )
+
 
 class TestCommutatorNorm:
     def test_quarter_third_pair(self):
