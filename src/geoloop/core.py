@@ -14,18 +14,7 @@ import math
 
 import numpy as np
 
-# The schedule model is defined in records, without numpy; re-exported here.
-from .records import (
-    NORM_TOL,
-    ControlSegment,
-    InvalidFieldError,
-    NonUnitAxisError,
-    Schedule,
-    _Record,
-    _setfield,
-    as_float,
-    check_duration,
-)
+from .records import ControlSegment, Schedule, _Record, _setfield, as_float
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

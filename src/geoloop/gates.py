@@ -16,9 +16,10 @@ import math
 import numpy as np
 
 from .core import unitarity_defect
+from .records import _Record, _setfield
 
-# Defined in records, without numpy; re-exported here.
-from .records import ChiOutOfRangeError, _Record, _setfield, check_chi, single_loop_schedule
+# Re-exported: perfbench/tracing.py times it as gates.single_loop_schedule.
+from .records import single_loop_schedule
 
 
 class DimensionMismatchError(ValueError):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlSegment, InvalidFieldError, Schedule, as_float, drive_arrays
-from .core import ordered_product, su2
+from .core import drive_arrays, ordered_product, su2
+from .records import ControlSegment, InvalidFieldError, Schedule, as_float
 
 # Trials seeded and propagated together by fidelity_sweep. A seed-hash
 # call costs about 0.1 ms however few trials it covers, so blocks amortize

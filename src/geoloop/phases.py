@@ -13,16 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import (
-    BlochVector,
-    QubitState,
-    Schedule,
-    bloch_points,
-    drive_arrays,
-    su2,
-    wrap_phase,
-)
-from .records import _Record, _setfield
+from .core import BlochVector, QubitState, bloch_points, drive_arrays, su2, wrap_phase
+from .records import Schedule, _Record, _setfield
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -332,12 +324,13 @@ def solid_angle(path: BlochPath) -> float:
     every closed polygon whose consecutive samples are not antipodal. An
     antipodal pair has no unique geodesic between them: an edge k (from
     sample k to k + 1) whose overlap (1 + r_k.r_k+1)/2 falls below
-    MIN_EDGE_OVERLAP raises ValueError.
+    MIN_EDGE_OVERLAP raises ValueError. A one-point path, the identity
+    evolution's, is closed and encloses 0.
     """
     pts = path.points()
-    if len(pts) < 2 or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
+    if not len(pts) or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
         raise OpenPathError("path is not closed to within the closure tolerance")
-    buf = np.empty((3, min(PATH_BLOCK, len(pts) - 1)))
+    buf = np.empty((3, min(PATH_BLOCK, len(pts))))  # a column at least, for the closing edge
     closing = pts[[-1, 0]]
     south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
     parts = []

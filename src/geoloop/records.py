@@ -2,8 +2,8 @@
 
 This is the layer that every other module builds on, and it needs no numpy:
 building, reading, writing and checking a schedule costs no numeric import.
-Constructors validate their fields here, once; ``core``, ``gates`` and
-``twoqubit`` re-export these names next to the numerics that use them.
+Constructors validate their fields here, once, and the numeric modules
+import these names from here.
 """
 
 from __future__ import annotations
@@ -112,6 +112,29 @@ def check_duration(omega: float, duration: float) -> None:
     raise InvalidFieldError("duration", message)
 
 
+def check_coupling(coupling_j: float) -> None:
+    """Require a finite coupling constant J > 0."""
+    if not 0.0 < as_float("coupling_j", coupling_j) < math.inf:
+        message = f"coupling_j must be finite and > 0, got {coupling_j}"
+        raise InvalidCouplingError("coupling_j", message)
+
+
+def _entries(field: str, entries, kinds: tuple) -> tuple:
+    """entries as a tuple, each one an instance of a class in kinds."""
+    entries = tuple(entries)
+    for entry in entries:
+        if not isinstance(entry, kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            message = f"{field} must hold {names} records, got {type(entry).__name__}"
+            raise InvalidFieldError(field, message)
+    return entries
+
+
+def _check_label(label) -> None:
+    if not isinstance(label, str):
+        raise InvalidFieldError("label", f"label must be a string, got {label!r}")
+
+
 class ControlSegment(_Record):
     """One piece of a piecewise-constant drive: H = (omega/2) (axis . sigma).
 
@@ -154,7 +177,8 @@ class Schedule(_Record):
     label: str
 
     def __init__(self, segments: tuple[ControlSegment, ...] = (), label: str = ""):
-        _setfield(self, "segments", tuple(segments))
+        _setfield(self, "segments", _entries("segments", segments, (ControlSegment,)))
+        _check_label(label)
         _setfield(self, "label", label)
 
     def __len__(self) -> int:
@@ -181,13 +205,10 @@ class CouplingStep(_Record):
     axis = (0.0, 0.0, 1.0)
 
     def __init__(self, duration: float, coupling_j: float):
+        check_coupling(coupling_j)
         _setfield(self, "duration", duration)
         _setfield(self, "coupling_j", coupling_j)
-        if not 0.0 < as_float("coupling_j", self.coupling_j) < math.inf:
-            raise InvalidCouplingError(
-                "coupling_j", f"coupling_j must be finite and > 0, got {self.coupling_j}"
-            )
-        check_duration(self.omega, self.duration)
+        check_duration(self.omega, duration)
 
     @property
     def omega(self) -> float:
@@ -214,9 +235,10 @@ class ConditionalSchedule(_Record):
     def __init__(
         self, steps: tuple[ConditionalStep, ...], mode: str = "natural", label: str = ""
     ):
+        _setfield(self, "steps", _entries("steps", steps, (ControlSegment, CouplingStep)))
         if mode not in ("natural", "line_selective"):
             raise InvalidFieldError("mode", f"unknown mode {mode!r}")
-        _setfield(self, "steps", tuple(steps))
+        _check_label(label)
         _setfield(self, "mode", mode)
         _setfield(self, "label", label)
 

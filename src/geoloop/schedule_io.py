@@ -58,7 +58,7 @@ def _parse_int(literal: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
-class _Record(NamedTuple):
+class _Layout(NamedTuple):
     """The layout of one record kind, read by both the parser and the serializer."""
 
     cls: type
@@ -66,13 +66,13 @@ class _Record(NamedTuple):
     keys: tuple  # (file key, constructor field) pairs, in file order
 
 
-_SEGMENT = _Record(
+_SEGMENT = _Layout(
     ControlSegment, {}, (("axis", "axis"), ("omega", "omega"), ("duration", "duration"))
 )
 _STEPS = {
-    "pulse_y": _Record(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
+    "pulse_y": _Layout(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
                        (("omega", "omega"), ("duration", "duration"))),
-    "coupling": _Record(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j"))),
+    "coupling": _Layout(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j"))),
 }
 
 
@@ -137,13 +137,13 @@ def _number(value, key: str, path: tuple) -> float:
         raise _Reject(f"field {key!r} must be a finite number", path) from None
 
 
-def _parse_record(record: _Record, name: str, obj, path: tuple, noun: str):
+def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
     """A segment or step body, checked key by key in file order, then built."""
     if not isinstance(obj, dict):
         raise _Reject(f"{noun} must be an object", path)
-    _check_fields(obj, dict(record.keys), name, path)
-    fields = dict(record.fixed)
-    for key, field in record.keys:
+    _check_fields(obj, dict(layout.keys), name, path)
+    fields = dict(layout.fixed)
+    for key, field in layout.keys:
         value, at = _require(obj, key, name, path), path + (key,)
         if key != "axis":
             fields[field] = _number(value, key, at)
@@ -152,9 +152,9 @@ def _parse_record(record: _Record, name: str, obj, path: tuple, noun: str):
         else:
             raise _Reject("field 'axis' must be a 3-element list", at)
     try:
-        return record.cls(**fields)
+        return layout.cls(**fields)
     except InvalidFieldError as exc:  # reported at the key of the field it names
-        key = next(k for k, field in record.keys if field == exc.field)
+        key = next(k for k, field in layout.keys if field == exc.field)
         raise _Reject(f"invalid {noun}: {exc}", path + (key,)) from exc
 
 
@@ -172,26 +172,24 @@ def _parse_document(doc: dict) -> AnySchedule:
     if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         raise _Reject(f"unsupported version {version!r}", ("version",))
     kind = _require(doc, "kind", "schedule file")
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise _Reject("field 'label' must be a string", ("label",))
-
     if kind == "single_qubit":
         _check_fields(doc, ("version", "kind", "label", "segments"), "schedule file")
         segments = tuple(
             _parse_record(_SEGMENT, "segment", s, ("segments", i), "segment")
             for i, s in enumerate(_list(doc, "segments"))
         )
-        return Schedule(segments, label)
-    if kind == "two_qubit":
+        cls, args = Schedule, (segments,)
+    elif kind == "two_qubit":
         _check_fields(doc, ("version", "kind", "label", "mode", "steps"), "schedule file")
         mode = _require(doc, "mode", "schedule file")
         steps = tuple(_parse_step(s, ("steps", i)) for i, s in enumerate(_list(doc, "steps")))
-        try:
-            return ConditionalSchedule(steps, mode, label)
-        except InvalidFieldError as exc:  # the mode
-            raise _Reject(str(exc), ("mode",)) from exc
-    raise _Reject(f"unknown kind {kind!r}", ("kind",))
+        cls, args = ConditionalSchedule, (steps, mode)
+    else:
+        raise _Reject(f"unknown kind {kind!r}", ("kind",))
+    try:
+        return cls(*args, label=doc.get("label", ""))
+    except InvalidFieldError as exc:  # reported at the key of the field it names
+        raise _Reject(str(exc), (exc.field,)) from exc
 
 
 def parse_schedule(text: str) -> AnySchedule:
@@ -214,12 +212,12 @@ def parse_schedule(text: str) -> AnySchedule:
         raise ScheduleParseError(message, line, column) from exc.__cause__
 
 
-def _fields(record: _Record, name: str, obj) -> dict:
+def _file_object(layout: _Layout, name: str, obj) -> dict:
     """The file object of one record, keys in the order the parser reads them."""
-    for field, value in record.fixed.items():
+    for field, value in layout.fixed.items():
         if getattr(obj, field) != value:
             raise ValueError(f"{name} records need {field} {value}, got {getattr(obj, field)}")
-    return {key: getattr(obj, field) for key, field in record.keys}
+    return {key: getattr(obj, field) for key, field in layout.keys}
 
 
 def serialize_schedule(sched: AnySchedule) -> str:
@@ -229,13 +227,13 @@ def serialize_schedule(sched: AnySchedule) -> str:
             "version": FORMAT_VERSION,
             "kind": "single_qubit",
             "label": sched.label,
-            "segments": [_fields(_SEGMENT, "segment", seg) for seg in sched.segments],
+            "segments": [_file_object(_SEGMENT, "segment", seg) for seg in sched.segments],
         }
     elif isinstance(sched, ConditionalSchedule):
         steps = []
         for step in sched.steps:
-            kind = next(k for k, record in _STEPS.items() if isinstance(step, record.cls))
-            steps.append({kind: _fields(_STEPS[kind], kind, step)})
+            kind = next(k for k, layout in _STEPS.items() if isinstance(step, layout.cls))
+            steps.append({kind: _file_object(_STEPS[kind], kind, step)})
         doc = {
             "version": FORMAT_VERSION,
             "kind": "two_qubit",

@@ -16,19 +16,16 @@ import numpy as np
 
 from .core import IDENTITY_2, SIGMA_Z, drive_arrays, ordered_product, su2
 from .gates import u_chi
-
-# Defined in records, without numpy; re-exported here.
 from .records import (
     ConditionalSchedule,
-    ConditionalStep,
     ControlSegment,
     CouplingStep,
-    InvalidCouplingError,
     Schedule,
     _Record,
     _setfield,
     as_float,
     check_chi,
+    check_coupling,
     single_loop_schedule,
 )
 
@@ -107,7 +104,7 @@ def two_qubit_schedule(
 
     Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega).
     """
-    CouplingStep(duration=0.0, coupling_j=p.coupling_j)  # J's rule, before dividing by J
+    check_coupling(p.coupling_j)  # before dividing by J
     omega = as_float("omega", omega)
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")

@@ -506,6 +506,17 @@ GOLDEN_ERRORS = {
 }
 
 
+def test_non_string_label_is_an_input_error_at_its_key(tmp_path, capsys):
+    file = tmp_path / "label.json"
+    file.write_text('{"version": 1, "kind": "single_qubit",\n "label": 5, "segments": []}')
+    capsys.readouterr()
+    assert main(["verify", str(file), "--target", "u_chi:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {file}: label must be a string, got 5 (line 2, column 2)\n")
+
+
 class TestGoldenBytes:
     """CLI output bytes, pinned; file names are relative to the working directory."""
 

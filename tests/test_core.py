@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from geoloop.core import (
     ControlSegment,
     NonNormalizedStateError,
-    NonUnitAxisError,
     QubitState,
     Schedule,
     bloch_vector,
@@ -19,6 +18,7 @@ from geoloop.core import (
     su2,
     unitarity_defect,
 )
+from geoloop.records import NonUnitAxisError
 
 from helpers import random_unit_axis, series_expm, series_rotation, unit_axes
 

@@ -5,7 +5,6 @@ import pytest
 
 from geoloop.core import schedule_unitary, state_from_angles, unitarity_defect
 from geoloop.gates import (
-    ChiOutOfRangeError,
     DimensionMismatchError,
     commutator_norm,
     compare_gates,
@@ -13,6 +12,7 @@ from geoloop.gates import (
     u_chi,
     u_gate,
 )
+from geoloop.records import ChiOutOfRangeError
 
 TOL = 1e-12
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

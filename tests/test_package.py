@@ -1,5 +1,6 @@
 """The package namespace: every public name stays, and importing it is cheap."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -115,3 +116,45 @@ def test_numeric_names_import_on_first_use():
     modules = loaded_after("import geoloop\ngeoloop.u_chi(0.5)")
     assert {"numpy", "geoloop.gates", "geoloop.core"} <= modules
     assert "geoloop.noise" not in modules
+
+
+SOURCES = Path(geoloop.__file__).parent
+# (module, name) imported only to be offered again: the benchmark times
+# gates.single_loop_schedule under that name.
+REEXPORTS = {("gates", "single_loop_schedule")}
+
+
+def module_tree(module):
+    return ast.parse((SOURCES / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def defined_names(tree):
+    """The names a module binds at its top level itself, not by importing them."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SOURCES.glob("*.py")))
+def test_names_come_from_their_home_and_are_used(module):
+    # Every "from .home import name", at any depth, takes name from the
+    # module that defines it and binds a name that this module reads
+    # (annotations included); whole-module imports are not checked.
+    tree = module_tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    faults = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+            continue
+        home = defined_names(module_tree(node.module))
+        for alias in node.names:
+            if alias.name not in home:
+                faults.append(f"{alias.name} is not defined in {node.module}")
+            if (alias.asname or alias.name) not in used and (module, alias.name) not in REEXPORTS:
+                faults.append(f"{alias.name} is imported but not used")
+    assert not faults

@@ -396,6 +396,33 @@ class TestSolidAngle:
         rev = BlochPath(t=np.arange(len(pts), dtype=float), r=pts)
         assert abs(solid_angle(path) + solid_angle(rev)) <= 1e-6
 
+    def test_one_point_path_encloses_nothing(self):
+        assert solid_angle(BlochPath(t=[0.0], r=[[0, 0, 1]])) == 0.0
+
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            Schedule(),
+            Schedule((ControlSegment((1, 0, 0), 1.0, 0.0), ControlSegment((0, 0, 1), 2.0, 0.0))),
+        ],
+        ids=["empty", "zero-duration"],
+    )
+    @pytest.mark.parametrize(
+        "chi, phi", [(0.0, 0.0), (0.7, 1.9), (math.pi / 2, -2.5), (math.pi, 0.3)]
+    )
+    def test_identity_loop_encloses_nothing(self, sched, chi, phi):
+        # The identity evolution samples as one point: a closed loop of area
+        # 0, matching its geometric phase of 0 (gamma_geo = -Omega / 2).
+        state = state_from_angles(chi, phi)
+        path = sample_path(sched, state, 5)
+        assert len(path.points()) == 1
+        assert solid_angle(path) == 0.0
+        assert geometric_phase(sched, state).geometric == 0.0
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(OpenPathError):
+            solid_angle(BlochPath(t=np.empty(0), r=np.empty((0, 3))))
+
     def test_open_path_rejected(self):
         path = BlochPath(t=[0.0, 1.0], r=[[0, 0, 1], [1, 0, 0]])
         with pytest.raises(OpenPathError):

@@ -26,6 +26,7 @@ from geoloop import (
     Schedule,
     single_loop_schedule,
 )
+from geoloop.records import InvalidFieldError
 
 SEGMENT = ControlSegment(axis=(1, 0, 0), omega=2, duration=0.25)
 
@@ -208,3 +209,38 @@ def test_pattern_matching_by_position():
             assert (duration, coupling_j) == (1, 0.5)
         case _:
             pytest.fail("CouplingStep did not match its positional pattern")
+
+
+# (class, arguments, the field that rejects them): values a schedule file
+# cannot hold, since a file carries segments, steps of the two kinds and a
+# string label.
+UNWRITABLE = {
+    "coupling-step-segment": (Schedule, ([CouplingStep(1.0, 0.5)],), "segments"),
+    "string-segment": (Schedule, (["x"],), "segments"),
+    "string-step": (ConditionalSchedule, (["x"],), "steps"),
+    "none-step": (ConditionalSchedule, ([SEGMENT, None],), "steps"),
+    "int-label": (Schedule, ((), 5), "label"),
+    "none-label": (Schedule, ((), None), "label"),
+    "conditional-int-label": (ConditionalSchedule, ((), "natural", 5), "label"),
+    "conditional-none-label": (ConditionalSchedule, ((), "natural", None), "label"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_schedules_reject_what_the_file_format_cannot_hold(case):
+    cls, args, field = UNWRITABLE[case]
+    with pytest.raises(InvalidFieldError) as exc:
+        cls(*args)
+    assert exc.value.field == field
+
+
+def test_schedules_accept_subclasses_of_their_entries():
+    class Segment(ControlSegment):
+        __slots__ = ()
+
+    class Step(CouplingStep):
+        __slots__ = ()
+
+    segment, step = Segment((0, 0, 1), 1.0, 0.5), Step(1.0, 0.5)
+    assert Schedule([segment]).segments == (segment,)
+    assert ConditionalSchedule([segment, step]).steps == (segment, step)

@@ -238,6 +238,25 @@ class TestParseErrorPositions:
         assert exc.value.line == 2
         assert _token_at(text, exc.value).startswith('"omega": "x"')
 
+    @pytest.mark.parametrize(
+        "kind, body",
+        [("single_qubit", '"segments": []'), ("two_qubit", '"mode": "natural", "steps": []')],
+        ids=["single_qubit", "two_qubit"],
+    )
+    @pytest.mark.parametrize("label, shown", [("5", "5"), ("null", "None"), ("[]", "[]")])
+    def test_non_string_label_points_at_its_key(self, kind, body, label, shown):
+        text = '{"version": 1, "kind": "%s",\n "label": %s, %s}' % (kind, label, body)
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == f"label must be a string, got {shown} (line 2, column 2)"
+
+    def test_label_is_checked_after_the_mode(self):
+        # The schedule's constructor checks the label last.
+        text = '{"version": 1, "kind": "two_qubit", "label": 5, "mode": "magic", "steps": []}'
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == "unknown mode 'magic' (line 1, column 49)"
+
     def test_duplicate_key_points_at_the_value_that_counts(self):
         # json.loads keeps the last of duplicate keys; so does the position.
         text = (

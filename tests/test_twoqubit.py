@@ -11,7 +11,6 @@ from geoloop.phases import dynamical_phase
 from geoloop.twoqubit import (
     ConditionalSchedule,
     CouplingStep,
-    InvalidCouplingError,
     MissingAccessoryError,
     NmrParams,
     controlled_u,
@@ -24,6 +23,7 @@ from geoloop.twoqubit import (
     u2_natural,
 )
 from geoloop.core import IDENTITY_2, SIGMA_Z, unitarity_defect
+from geoloop.records import ChiOutOfRangeError, InvalidCouplingError
 
 from helpers import PAULI, series_expm, series_rotation, unit_axes
 
@@ -141,7 +141,7 @@ class TestTwoQubitSchedule:
             two_qubit_schedule(10**400, NmrParams(1, 1, 0.5))
         assert exc.value.field == "omega"
 
-    @pytest.mark.parametrize("j", [0.0, -0.5])
+    @pytest.mark.parametrize("j", [0.0, -0.0, -0.5])
     def test_coupling_rule_is_coupling_steps(self, j):
         # The builder divides by J; it must reject J as CouplingStep does.
         with pytest.raises(InvalidCouplingError) as built:
@@ -149,6 +149,18 @@ class TestTwoQubitSchedule:
         with pytest.raises(InvalidCouplingError) as direct:
             CouplingStep(duration=1.0, coupling_j=j)
         assert str(built.value) == str(direct.value)
+
+    def test_builds_one_coupling_step(self, monkeypatch):
+        built = []
+        init = CouplingStep.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CouplingStep, "__init__", counted)
+        sched = two_qubit_schedule(1.0, PARAMS)
+        assert built == [sched.steps[1]]
 
 
 class TestTwoQubitUnitary:
@@ -291,8 +303,6 @@ class TestControlledU:
         assert np.max(np.abs(ref[:2, :2] - u_chi(0.4))) <= TOL
 
     def test_rejects_out_of_range_chi(self):
-        from geoloop.gates import ChiOutOfRangeError
-
         with pytest.raises(ChiOutOfRangeError):
             controlled_u(2.0, 1.0, 1.0)
 
