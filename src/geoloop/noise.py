@@ -5,19 +5,30 @@ duration by independent Gaussian factors (1 + eps) and reports the
 global-phase-blind trace fidelity against a target gate. The model is a
 choice of this library, not a quantitative reproduction of any published
 robustness analysis.
+
+NoiseSpec is an immutable record, like the schedules; SweepResult is a
+frozen dataclass, since perfbench/selftest.py changes one with
+dataclasses.replace.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import drive_arrays, ordered_product, su2
-from .records import ControlSegment, InvalidFieldError, Schedule, as_float
+from .records import (
+    ControlSegment,
+    InvalidFieldError,
+    Schedule,
+    _Record,
+    _setfield,
+    as_float,
+    as_int,
+)
 
 # Trials seeded and propagated together by fidelity_sweep. A seed-hash
 # call costs about 0.1 ms however few trials it covers, so blocks amortize
@@ -29,32 +40,32 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Record):
     """Relative Gaussian error levels, trial count, and RNG seed.
 
-    The sigmas are finite and >= 0; trials and seed are integers, not bools,
-    with trials in [1, 2**32].
+    Sigmas are finite floats >= 0; trials and seed are ints, trials in [1, 2**32].
     """
 
-    sigma_omega: float = 0.0
-    sigma_tau: float = 0.0
-    trials: int = 1
-    seed: int = 0
+    __slots__ = ("sigma_omega", "sigma_tau", "trials", "seed")
+    sigma_omega: float
+    sigma_tau: float
+    trials: int
+    seed: int
 
-    def __post_init__(self):
+    def __init__(
+        self, sigma_omega: float = 0.0, sigma_tau: float = 0.0, trials: int = 1, seed: int = 0
+    ):
+        _setfield(self, "sigma_omega", as_float("sigma_omega", sigma_omega))
+        _setfield(self, "sigma_tau", as_float("sigma_tau", sigma_tau))
         for name in ("sigma_omega", "sigma_tau"):
-            object.__setattr__(self, name, as_float(name, getattr(self, name)))
-        if not (0 <= self.sigma_omega < math.inf and 0 <= self.sigma_tau < math.inf):
-            raise ValueError("sigmas must be finite and >= 0")
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidFieldError(name, f"{name} must be an integer, got {value!r}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidFieldError(name, "sigmas must be finite and >= 0")
+        _setfield(self, "trials", as_int("trials", trials))
+        _setfield(self, "seed", as_int("seed", seed))
         if not self.trials >= 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidFieldError("trials", "trials must be >= 1")
         if not self.trials <= 2**32:  # a trial index is one 32-bit seed word
-            raise ValueError("trials must be <= 2**32")
+            raise InvalidFieldError("trials", "trials must be <= 2**32")
 
 
 @dataclass(frozen=True)

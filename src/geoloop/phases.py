@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import BlochVector, QubitState, bloch_points, drive_arrays, su2, wrap_phase
-from .records import Schedule, _Record, _setfield
+from .records import Schedule, _Record, _setfield, as_int
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -194,12 +194,12 @@ def sample_path(
     samples_per_segment - 1 new points, so the path has
     1 + (moving segments) * (samples_per_segment - 1) samples in total.
     """
-    if samples_per_segment < 2:
+    per_segment = as_int("samples_per_segment", samples_per_segment) - 1
+    if per_segment < 1:
         raise ValueError("samples_per_segment must be >= 2")
     # Zero-duration segments add no samples: times must stay strictly
     # increasing and the points would be duplicates.
     moving = sum(1 for seg in sched if seg.duration > 0)
-    per_segment = samples_per_segment - 1
     times = np.empty(1 + moving * per_segment)
     points = np.empty((len(times), 3))
     times[0] = 0.0

@@ -9,7 +9,7 @@ import these names from here.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+import operator
 from typing import Union
 
 NORM_TOL = 1e-12
@@ -49,11 +49,13 @@ def _restore(cls, values):
 class _Record:
     """Immutable value record: its fields, two or more, are its classes' ``__slots__``.
 
-    Fields are set once, in ``__init__`` through ``_setfield``; assigning or
-    deleting one afterwards raises AttributeError. Records compare and hash
-    by their field values, and only against records of the same class; the
-    repr lists the fields by name. Pickling and copying restore the stored
-    values as they are, without validating them again.
+    Fields are set once, in ``__init__`` through ``_setfield``; a checked
+    field is stored as the built-in value its check accepted (BlochPath
+    keeps arrays). Assigning or deleting a field afterwards raises
+    AttributeError. Records compare and hash by their field values, and
+    only against records of the same class; the repr lists the fields by
+    name. Pickling and copying restore the stored values as they are,
+    without validating them again.
     """
 
     __slots__ = ()
@@ -63,7 +65,7 @@ class _Record:
         slots = (vars(klass).get("__slots__", ()) for klass in reversed(cls.__mro__))
         cls._fields = tuple(name for names in slots for name in names)
         cls.__match_args__ = cls._fields
-        cls._values = staticmethod(attrgetter(*cls._fields))
+        cls._values = staticmethod(operator.attrgetter(*cls._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,6 +98,16 @@ def as_float(field: str, value) -> float:
     except OverflowError:
         message = f"{field} is an integer beyond the float range"
         raise InvalidFieldError(field, message) from None
+
+
+def as_int(field: str, value) -> int:
+    """value as an int, if it is an integer that is not a bool; naming field if not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidFieldError(field, f"{field} must be an integer, got {value!r}")
 
 
 def check_duration(omega: float, duration: float) -> None:
@@ -206,9 +218,9 @@ class CouplingStep(_Record):
 
     def __init__(self, duration: float, coupling_j: float):
         check_coupling(coupling_j)
-        _setfield(self, "duration", duration)
-        _setfield(self, "coupling_j", coupling_j)
+        _setfield(self, "coupling_j", float(coupling_j))
         check_duration(self.omega, duration)
+        _setfield(self, "duration", float(duration))
 
     @property
     def omega(self) -> float:

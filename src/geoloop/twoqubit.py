@@ -20,6 +20,7 @@ from .records import (
     ConditionalSchedule,
     ControlSegment,
     CouplingStep,
+    InvalidFieldError,
     Schedule,
     _Record,
     _setfield,
@@ -36,8 +37,15 @@ class MissingAccessoryError(ValueError):
     """No accessory-field frequency set on the parameters."""
 
 
+def _finite(field: str, value) -> float:
+    number = as_float(field, value)
+    if not math.isfinite(number):
+        raise InvalidFieldError(field, f"{field} must be finite, got {value}")
+    return number
+
+
 class NmrParams(_Record):
-    """Frequencies and coupling of the two-spin system; all finite."""
+    """Frequencies and coupling of the two-spin system, stored as finite floats."""
 
     __slots__ = ("omega_a", "omega_b", "coupling_j", "accessory")
     omega_a: float
@@ -48,16 +56,12 @@ class NmrParams(_Record):
     def __init__(
         self, omega_a: float, omega_b: float, coupling_j: float, accessory: float | None = None
     ):
-        _setfield(self, "omega_a", omega_a)
-        _setfield(self, "omega_b", omega_b)
-        _setfield(self, "coupling_j", coupling_j)
+        _setfield(self, "omega_a", _finite("omega_a", omega_a))
+        _setfield(self, "omega_b", _finite("omega_b", omega_b))
+        _setfield(self, "coupling_j", _finite("coupling_j", coupling_j))
+        if accessory is not None:
+            accessory = _finite("accessory", accessory)
         _setfield(self, "accessory", accessory)
-        names = ["omega_a", "omega_b", "coupling_j"]
-        if self.accessory is not None:
-            names.append("accessory")
-        for name in names:
-            if not math.isfinite(as_float(name, getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def with_matched_accessory(self) -> "NmrParams":
         """Accessory tuned to omega_a - pi*J: b = down sees zero field."""

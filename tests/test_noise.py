@@ -16,6 +16,7 @@ from geoloop.noise import (
     fidelity_sweep,
     perturb_schedule,
 )
+from geoloop.records import InvalidFieldError
 
 LOOP = single_loop_schedule(math.pi / 4, 1.0, 1.0)
 
@@ -99,6 +100,25 @@ class TestPerturbSchedule:
     def test_numpy_integers_are_counts(self):
         spec = NoiseSpec(trials=np.int64(3), seed=np.uint64(2**64 - 1))
         assert len(fidelity_sweep(LOOP, u_chi(math.pi / 4), spec).fidelities) == 3
+
+    def test_fields_are_stored_as_built_in_numbers(self):
+        spec = NoiseSpec(np.float32(0.5), 1, np.int64(3), np.uint64(2**64 - 1))
+        values = [spec.sigma_omega, spec.sigma_tau, spec.trials, spec.seed]
+        assert [type(value) for value in values] == [float, float, int, int]
+        assert spec == NoiseSpec(0.5, 1.0, 3, 2**64 - 1)
+
+    @pytest.mark.parametrize("values, field, message", [
+        (dict(sigma_omega=-0.1), "sigma_omega", "sigmas must be finite and >= 0"),
+        (dict(sigma_tau=math.nan), "sigma_tau", "sigmas must be finite and >= 0"),
+        (dict(sigma_omega=math.inf, sigma_tau=-1), "sigma_omega",
+         "sigmas must be finite and >= 0"),
+        (dict(trials=0), "trials", "trials must be >= 1"),
+        (dict(trials=2**32 + 1), "trials", "trials must be <= 2**32"),
+    ])
+    def test_range_errors_name_the_field(self, values, field, message):
+        with pytest.raises(InvalidFieldError) as exc:
+            NoiseSpec(**values)
+        assert (exc.value.field, str(exc.value)) == (field, message)
 
     @pytest.mark.parametrize("field", ["sigma_omega", "sigma_tau"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

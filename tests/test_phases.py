@@ -16,6 +16,7 @@ from geoloop.core import (
 )
 from geoloop import core, phases
 from geoloop.gates import single_loop_schedule
+from geoloop.records import InvalidFieldError
 from geoloop.phases import (
     BlochPath,
     NonCyclicError,
@@ -289,6 +290,19 @@ class TestSamplePath:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             sample_path(Schedule(), QubitState(1, 0), 1)
+
+    @pytest.mark.parametrize("bad", [3.0, True, "3", None])
+    def test_samples_must_be_an_integer(self, bad):
+        # 3.0 reached numpy and raised its TypeError; True was read as 1.
+        sched, state = loop_and_state(0.3)
+        with pytest.raises(InvalidFieldError, match="^samples_per_segment must be an") as exc:
+            sample_path(sched, state, bad)
+        assert exc.value.field == "samples_per_segment"
+
+    def test_numpy_integer_samples(self):
+        sched, state = loop_and_state(0.3)
+        path, twin = sample_path(sched, state, 5), sample_path(sched, state, np.int64(5))
+        assert np.array_equal(path.points(), twin.points())
 
     @settings(max_examples=40, deadline=None)
     @given(schedules, initial_states, st.integers(2, 40))

@@ -4,7 +4,8 @@ Records are immutable: a field is set once, by the constructor. They
 compare and hash by value, and only against records of their own class,
 except BlochPath, which compares by identity. Their reprs, pickles and
 copies behave as they did when the records were frozen dataclasses; the
-expected reprs below were recorded from the dataclass versions.
+expected reprs below were recorded from the dataclass versions, except
+CouplingStep's, which now shows its fields as the floats it stores.
 """
 
 import copy
@@ -13,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+import geoloop
 from geoloop import (
     BlochPath,
     BlochVector,
@@ -21,12 +23,14 @@ from geoloop import (
     CouplingStep,
     GateReport,
     NmrParams,
+    NoiseSpec,
     PhaseDecomposition,
     QubitState,
     Schedule,
+    SweepResult,
     single_loop_schedule,
 )
-from geoloop.records import InvalidFieldError
+from geoloop.records import InvalidFieldError, _Record
 
 SEGMENT = ControlSegment(axis=(1, 0, 0), omega=2, duration=0.25)
 
@@ -46,12 +50,12 @@ VALUE_RECORDS = {
     CouplingStep: (
         (1, 0.5),
         dict(duration=1, coupling_j=0.5),
-        "CouplingStep(duration=1, coupling_j=0.5)",
+        "CouplingStep(duration=1.0, coupling_j=0.5)",
     ),
     ConditionalSchedule: (
         ([CouplingStep(1, 0.5)], "natural", ""),
         dict(steps=[CouplingStep(1, 0.5)], mode="natural", label=""),
-        "ConditionalSchedule(steps=(CouplingStep(duration=1, coupling_j=0.5),), "
+        "ConditionalSchedule(steps=(CouplingStep(duration=1.0, coupling_j=0.5),), "
         "mode='natural', label='')",
     ),
     QubitState: (
@@ -79,6 +83,17 @@ VALUE_RECORDS = {
         dict(omega_a=2.0, omega_b=1.5, coupling_j=0.3, accessory=None),
         "NmrParams(omega_a=2.0, omega_b=1.5, coupling_j=0.3, accessory=None)",
     ),
+    NoiseSpec: (
+        (0.01, 0, 10, 7),
+        dict(sigma_omega=0.01, sigma_tau=0, trials=10, seed=7),
+        "NoiseSpec(sigma_omega=0.01, sigma_tau=0.0, trials=10, seed=7)",
+    ),
+    SweepResult: (
+        ((0.5, 1.0), 0.75, 0.5, 0.25, NoiseSpec(trials=2)),
+        dict(fidelities=(0.5, 1.0), mean=0.75, minimum=0.5, std=0.25, spec=NoiseSpec(trials=2)),
+        "SweepResult(fidelities=(0.5, 1.0), mean=0.75, minimum=0.5, std=0.25, "
+        "spec=NoiseSpec(sigma_omega=0.0, sigma_tau=0.0, trials=2, seed=0))",
+    ),
 }
 
 PATH_ARGS = dict(t=[0.0, 1.0], r=[[0, 0, 1], [0, 1, 0]])
@@ -102,6 +117,16 @@ COPIES = {
 }
 
 
+def test_every_public_record_class_is_a_record_covered_here():
+    public = (getattr(geoloop, name) for name in geoloop.__all__)
+    classes = {obj for obj in public if isinstance(obj, type)}
+    records = {cls for cls in classes if not issubclass(cls, Exception)}
+    assert records == set(ALL_RECORDS)
+    # SweepResult stays a frozen dataclass: perfbench/selftest.py changes
+    # one with dataclasses.replace.
+    assert {cls for cls in records if not issubclass(cls, _Record)} == {SweepResult}
+
+
 @pytest.mark.parametrize("cls", VALUE_RECORDS)
 def test_repr_matches_the_dataclass_repr(cls):
     assert repr(make(cls)) == VALUE_RECORDS[cls][2]
@@ -121,7 +146,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert repr(record) == before
-    assert not hasattr(record, "__dict__")
+    # SweepResult, a plain frozen dataclass, keeps a __dict__.
+    assert hasattr(record, "__dict__") == (cls is SweepResult)
 
 
 @pytest.mark.parametrize("cls", VALUE_RECORDS)

@@ -13,7 +13,7 @@ from geoloop.schedule_io import (
     parse_schedule,
     serialize_schedule,
 )
-from geoloop.twoqubit import ConditionalSchedule, CouplingStep
+from geoloop.twoqubit import ConditionalSchedule, CouplingStep, NmrParams, two_qubit_schedule
 
 
 def unit_axes():
@@ -336,8 +336,18 @@ def test_serialize_rejects_non_y_pulse_steps():
 
 
 def test_two_qubit_schedule_round_trip_from_builder():
-    from geoloop.twoqubit import NmrParams, two_qubit_schedule
-
     p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.4)
     sched = two_qubit_schedule(1.5, p, "line_selective")
+    assert parse_schedule(serialize_schedule(sched)) == sched
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConditionalSchedule([CouplingStep(True, 0.5)]),
+    lambda: ConditionalSchedule([CouplingStep(np.int64(1), 0.5)]),
+    lambda: two_qubit_schedule(1.0, NmrParams(1, 1, np.int64(1))),
+], ids=["bool-duration", "numpy-int-duration", "numpy-int-coupling"])
+def test_records_built_from_any_accepted_number_round_trip(build):
+    # Stored as given, the bool was written as `true`, which the parser
+    # rejects, and a numpy integer made serialize_schedule raise TypeError.
+    sched = build()
     assert parse_schedule(serialize_schedule(sched)) == sched

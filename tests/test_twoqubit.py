@@ -23,7 +23,7 @@ from geoloop.twoqubit import (
     u2_natural,
 )
 from geoloop.core import IDENTITY_2, SIGMA_Z, unitarity_defect
-from geoloop.records import ChiOutOfRangeError, InvalidCouplingError
+from geoloop.records import ChiOutOfRangeError, InvalidCouplingError, InvalidFieldError
 
 from helpers import PAULI, series_expm, series_rotation, unit_axes
 
@@ -68,11 +68,18 @@ class TestNmrParams:
         # NmrParams(nan, 1, 0.5) gave an all-NaN Hamiltonian and NaN fields.
         values = dict(omega_a=1.0, omega_b=1.0, coupling_j=0.5, accessory=0.2)
         values[field] = bad
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(InvalidFieldError, match=field) as exc:
             NmrParams(**values)
+        assert exc.value.field == field
 
     def test_accessory_may_be_unset(self):
         assert NmrParams(1.0, 2.0, 0.5).accessory is None
+
+    def test_fields_are_stored_as_floats(self):
+        p = NmrParams(1, np.int64(2), np.float32(0.5), accessory=True)
+        values = [p.omega_a, p.omega_b, p.coupling_j, p.accessory]
+        assert values == [1.0, 2.0, 0.5, 1.0]
+        assert {type(value) for value in values} == {float}
 
     def test_matched_accessory_of_non_finite_params_is_unreachable(self):
         with pytest.raises(ValueError):
