@@ -91,8 +91,15 @@ class _Record:
         return _restore, (self.__class__, self._values(self))
 
 
+_TEXT = (str, bytes, bytearray)  # float() parses these; no number field takes them
+
+
 def as_float(field: str, value) -> float:
-    """float(value), naming field when value is an integer beyond the float range."""
+    """float(value) of a number, naming field for text or an integer beyond the float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, _TEXT):
+        raise InvalidFieldError(field, f"{field} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -110,17 +117,19 @@ def as_int(field: str, value) -> int:
     raise InvalidFieldError(field, f"{field} must be an integer, got {value!r}")
 
 
-def check_duration(omega: float, duration: float) -> None:
+def check_duration(omega: float, duration: float) -> float:
     """Require a finite duration >= 0 and a finite rotation angle omega * duration.
 
-    omega must already be a number that float() converts.
+    omega must already be a number that float() converts. Returns the
+    duration as a float.
     """
-    if not 0.0 <= as_float("duration", duration) < math.inf:
+    value = as_float("duration", duration)
+    if not 0.0 <= value < math.inf:
         message = f"duration must be finite and >= 0, got {duration}"
-    elif not math.isfinite(float(omega) * float(duration)):  # finite factors can overflow
+    elif not math.isfinite(float(omega) * value):  # finite factors can overflow
         message = f"rotation angle {omega!r} * {duration!r} is not finite"
     else:
-        return
+        return value
     raise InvalidFieldError("duration", message)
 
 
@@ -160,18 +169,19 @@ class ControlSegment(_Record):
     duration: float
 
     def __init__(self, axis: tuple[float, float, float], omega: float, duration: float):
-        ax = tuple(as_float("axis", c) for c in axis)
+        ax = tuple([as_float("axis", c) for c in axis])
         if len(ax) != 3:
             raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
-        norm = math.sqrt(sum(c * c for c in ax))
+        x, y, z = ax
+        norm = math.sqrt(x * x + y * y + z * z)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
             raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
-        if not 0.0 <= as_float("omega", omega) < math.inf:
+        rate = as_float("omega", omega)
+        if not 0.0 <= rate < math.inf:
             raise InvalidFieldError("omega", f"omega must be finite and >= 0, got {omega}")
-        check_duration(omega, duration)
+        _setfield(self, "duration", check_duration(omega, duration))
         _setfield(self, "axis", ax)
-        _setfield(self, "omega", float(omega))
-        _setfield(self, "duration", float(duration))
+        _setfield(self, "omega", rate)
 
     def hamiltonian(self):
         """The 2x2 matrix (omega/2) (axis . sigma), as a numpy array."""
@@ -219,8 +229,7 @@ class CouplingStep(_Record):
     def __init__(self, duration: float, coupling_j: float):
         check_coupling(coupling_j)
         _setfield(self, "coupling_j", float(coupling_j))
-        check_duration(self.omega, duration)
-        _setfield(self, "duration", float(duration))
+        _setfield(self, "duration", check_duration(self.omega, duration))
 
     @property
     def omega(self) -> float:

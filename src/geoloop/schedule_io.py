@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from json.decoder import WHITESPACE
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Union
 
 from .records import (
@@ -58,21 +59,63 @@ def _parse_int(literal: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
+def _object(items, indent: int) -> str:
+    """A JSON object as json.dumps(indent=2) writes it at ``indent``: (key, value text) items."""
+    pad = " " * (indent + 2)
+    body = ",\n".join(f"{pad}{_quote(key)}: {value}" for key, value in items)
+    return "{\n" + body + "\n" + " " * indent + "}"
+
+
+def _array(entries, indent: int) -> str:
+    """A JSON array of value texts as json.dumps(indent=2) writes it at ``indent``."""
+    if not entries:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(entries) + "\n" + " " * indent + "]"
+
+
 class _Layout(NamedTuple):
     """The layout of one record kind, read by both the parser and the serializer."""
 
     cls: type
     fixed: dict  # constructor fields that the kind fixes
     keys: tuple  # (file key, constructor field) pairs, in file order
+    allowed: frozenset  # the file keys
+    template: str  # the record as an entry of a top-level list, a %r per number
 
 
-_SEGMENT = _Layout(
+def _layout(cls: type, fixed: dict, keys: tuple, kind: str = "") -> _Layout:
+    """A record kind's layout; a step's body is written under its ``kind`` key.
+
+    Records are entries of the file's top-level list, at indent 4.
+    """
+
+    def body(indent: int) -> str:
+        return _object(
+            [(key, _array(["%r"] * 3, indent + 2) if key == "axis" else "%r") for key, _ in keys],
+            indent,
+        )
+
+    template = _object([(kind, body(6))], 4) if kind else body(4)
+    return _Layout(cls, fixed, keys, frozenset(key for key, _ in keys), template)
+
+
+_SEGMENT = _layout(
     ControlSegment, {}, (("axis", "axis"), ("omega", "omega"), ("duration", "duration"))
 )
 _STEPS = {
-    "pulse_y": _Layout(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
-                       (("omega", "omega"), ("duration", "duration"))),
-    "coupling": _Layout(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j"))),
+    "pulse_y": _layout(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
+                       (("omega", "omega"), ("duration", "duration")), "pulse_y"),
+    "coupling": _layout(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j")),
+                        "coupling"),
+}
+# The top-level keys of each kind of file, in the order they are written.
+_FILE_KEYS = {
+    "single_qubit": ("version", "kind", "label", "segments"),
+    "two_qubit": ("version", "kind", "label", "mode", "steps"),
+}
+_FILE_TEMPLATES = {
+    kind: _object([(key, "%s") for key in keys], 0) + "\n" for kind, keys in _FILE_KEYS.items()
 }
 
 
@@ -129,28 +172,29 @@ def _list(doc: dict, key: str) -> list:
 
 
 def _number(value, key: str, path: tuple) -> float:
+    """value as a float; path is that of the record holding ``key``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, _LongInt)):
-        raise _Reject(f"field {key!r} must be a number", path)
+        raise _Reject(f"field {key!r} must be a number", path + (key,))
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise _Reject(f"field {key!r} must be a finite number", path) from None
+        raise _Reject(f"field {key!r} must be a finite number", path + (key,)) from None
 
 
 def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
     """A segment or step body, checked key by key in file order, then built."""
     if not isinstance(obj, dict):
         raise _Reject(f"{noun} must be an object", path)
-    _check_fields(obj, dict(layout.keys), name, path)
-    fields = dict(layout.fixed)
+    _check_fields(obj, layout.allowed, name, path)
+    fields = layout.fixed.copy()
     for key, field in layout.keys:
-        value, at = _require(obj, key, name, path), path + (key,)
+        value = _require(obj, key, name, path)
         if key != "axis":
-            fields[field] = _number(value, key, at)
+            fields[field] = _number(value, key, path)
         elif isinstance(value, list) and len(value) == 3:
-            fields[field] = tuple(_number(c, key, at) for c in value)
+            fields[field] = tuple([_number(c, key, path) for c in value])
         else:
-            raise _Reject("field 'axis' must be a 3-element list", at)
+            raise _Reject("field 'axis' must be a 3-element list", path + (key,))
     try:
         return layout.cls(**fields)
     except InvalidFieldError as exc:  # reported at the key of the field it names
@@ -173,14 +217,14 @@ def _parse_document(doc: dict) -> AnySchedule:
         raise _Reject(f"unsupported version {version!r}", ("version",))
     kind = _require(doc, "kind", "schedule file")
     if kind == "single_qubit":
-        _check_fields(doc, ("version", "kind", "label", "segments"), "schedule file")
+        _check_fields(doc, _FILE_KEYS[kind], "schedule file")
         segments = tuple(
             _parse_record(_SEGMENT, "segment", s, ("segments", i), "segment")
             for i, s in enumerate(_list(doc, "segments"))
         )
         cls, args = Schedule, (segments,)
     elif kind == "two_qubit":
-        _check_fields(doc, ("version", "kind", "label", "mode", "steps"), "schedule file")
+        _check_fields(doc, _FILE_KEYS[kind], "schedule file")
         mode = _require(doc, "mode", "schedule file")
         steps = tuple(_parse_step(s, ("steps", i)) for i, s in enumerate(_list(doc, "steps")))
         cls, args = ConditionalSchedule, (steps, mode)
@@ -212,38 +256,39 @@ def parse_schedule(text: str) -> AnySchedule:
         raise ScheduleParseError(message, line, column) from exc.__cause__
 
 
-def _file_object(layout: _Layout, name: str, obj) -> dict:
-    """The file object of one record, keys in the order the parser reads them."""
+def _entry(layout: _Layout, name: str, obj) -> str:
+    """The written text of one record, keys in the order the parser reads them."""
     for field, value in layout.fixed.items():
         if getattr(obj, field) != value:
             raise ValueError(f"{name} records need {field} {value}, got {getattr(obj, field)}")
-    return {key: getattr(obj, field) for key, field in layout.keys}
+    numbers = []
+    for key, field in layout.keys:
+        if key == "axis":
+            numbers += getattr(obj, field)
+        else:
+            numbers.append(getattr(obj, field))
+    return layout.template % tuple(numbers)
 
 
 def serialize_schedule(sched: AnySchedule) -> str:
-    """Render a schedule as a schedule-file document (round-trip exact)."""
+    """Render a schedule as a schedule-file document (round-trip exact).
+
+    The text is what json.dumps(doc, indent=2) writes, plus a newline:
+    numbers are float reprs and strings are ASCII-escaped.
+    """
     if isinstance(sched, Schedule):
-        doc = {
-            "version": FORMAT_VERSION,
-            "kind": "single_qubit",
-            "label": sched.label,
-            "segments": [_file_object(_SEGMENT, "segment", seg) for seg in sched.segments],
-        }
+        kind, head = "single_qubit", ()
+        entries = [_entry(_SEGMENT, "segment", seg) for seg in sched.segments]
     elif isinstance(sched, ConditionalSchedule):
-        steps = []
+        kind, head, entries = "two_qubit", (_quote(sched.mode),), []
         for step in sched.steps:
-            kind = next(k for k, layout in _STEPS.items() if isinstance(step, layout.cls))
-            steps.append({kind: _file_object(_STEPS[kind], kind, step)})
-        doc = {
-            "version": FORMAT_VERSION,
-            "kind": "two_qubit",
-            "label": sched.label,
-            "mode": sched.mode,
-            "steps": steps,
-        }
+            name = next(k for k, layout in _STEPS.items() if isinstance(step, layout.cls))
+            entries.append(_entry(_STEPS[name], name, step))
     else:
         raise TypeError(f"cannot serialize {type(sched).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
+    return _FILE_TEMPLATES[kind] % (
+        FORMAT_VERSION, _quote(kind), _quote(sched.label), *head, _array(entries, 2)
+    )
 
 
 def load_schedule(path) -> AnySchedule:

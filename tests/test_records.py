@@ -270,3 +270,37 @@ def test_schedules_accept_subclasses_of_their_entries():
     segment, step = Segment((0, 0, 1), 1.0, 0.5), Step(1.0, 0.5)
     assert Schedule([segment]).segments == (segment,)
     assert ConditionalSchedule([segment, step]).steps == (segment, step)
+
+
+# Text that float() would convert: no number field takes it.
+NUMERIC_TEXT = {
+    "segment-axis-component": (lambda: ControlSegment((0, "1", 0), 1.0, 1.0), "axis", "'1'"),
+    "segment-omega": (lambda: ControlSegment((0, 0, 1), "2", 1.0), "omega", "'2'"),
+    "segment-duration-bytes": (lambda: ControlSegment((0, 0, 1), 2.0, b"1"), "duration", "b'1'"),
+    "coupling-j": (lambda: CouplingStep(" 1e0 ", "0.5"), "coupling_j", "'0.5'"),
+    "coupling-duration": (lambda: CouplingStep(" 1e0 ", 0.5), "duration", "' 1e0 '"),
+    "nmr-omega-b": (lambda: NmrParams(1.0, "2", 0.5), "omega_b", "'2'"),
+    "nmr-accessory-bytearray": (lambda: NmrParams(1.0, 2.0, 0.5, bytearray(b"3")),
+                                "accessory", "bytearray(b'3')"),
+    "noise-sigma-omega": (lambda: NoiseSpec("0.1"), "sigma_omega", "'0.1'"),
+    "noise-sigma-tau": (lambda: NoiseSpec(0.1, "0"), "sigma_tau", "'0'"),
+    "single-loop-chi": (lambda: single_loop_schedule("0.3", 1, 1), "chi", "'0.3'"),
+    "single-loop-omega2": (lambda: single_loop_schedule(0.3, 1, "1"), "omega2", "'1'"),
+    "state-chi": (lambda: geoloop.state_from_angles("0.3", 0), "chi", "'0.3'"),
+    "numpy-str": (lambda: NoiseSpec(np.str_("0.1")), "sigma_omega", "np.str_('0.1')"),
+}
+
+
+@pytest.mark.parametrize("case", NUMERIC_TEXT)
+def test_number_fields_reject_numeric_text(case):
+    build, field, shown = NUMERIC_TEXT[case]
+    with pytest.raises(InvalidFieldError) as exc:
+        build()
+    assert exc.value.field == field
+    assert str(exc.value) == f"{field} must be a number, got {shown}"
+
+
+def test_bools_are_still_numbers():
+    segment = ControlSegment((False, False, True), True, 0.5)
+    assert segment == ControlSegment((0.0, 0.0, 1.0), 1.0, 0.5)
+    assert {type(c) for c in (*segment.axis, segment.omega, segment.duration)} == {float}

@@ -1,13 +1,15 @@
 import json
-import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import unit_axes
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoloop.core import ControlSegment, Schedule
 from geoloop.gates import single_loop_schedule
+from geoloop.records import InvalidFieldError
 from geoloop.schedule_io import (
     ScheduleParseError,
     parse_schedule,
@@ -15,22 +17,9 @@ from geoloop.schedule_io import (
 )
 from geoloop.twoqubit import ConditionalSchedule, CouplingStep, NmrParams, two_qubit_schedule
 
-
-def unit_axes():
-    return (
-        st.tuples(
-            st.floats(-1, 1, allow_nan=False),
-            st.floats(-1, 1, allow_nan=False),
-            st.floats(-1, 1, allow_nan=False),
-        )
-        .filter(lambda v: sum(c * c for c in v) > 1e-6)
-        .map(lambda v: tuple(np.array(v) / np.linalg.norm(v)))
-    )
-
-
 segments = st.builds(
     ControlSegment,
-    axis=unit_axes(),
+    axis=unit_axes,
     omega=st.floats(0, 100, allow_nan=False),
     duration=st.floats(0, 100, allow_nan=False),
 )
@@ -331,8 +320,15 @@ def test_serialize_rejects_non_y_pulse_steps():
     sched = ConditionalSchedule(
         steps=(ControlSegment((0, 0, 1), 1.0, 1.0),), mode="natural"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         serialize_schedule(sched)
+    assert str(exc.value) == "pulse_y records need axis (0.0, 1.0, 0.0), got (0.0, 0.0, 1.0)"
+
+
+def test_serialize_rejects_what_is_not_a_schedule():
+    with pytest.raises(TypeError) as exc:
+        serialize_schedule({})
+    assert str(exc.value) == "cannot serialize dict"
 
 
 def test_two_qubit_schedule_round_trip_from_builder():
@@ -351,3 +347,135 @@ def test_records_built_from_any_accepted_number_round_trip(build):
     # rejects, and a numpy integer made serialize_schedule raise TypeError.
     sched = build()
     assert parse_schedule(serialize_schedule(sched)) == sched
+
+
+TWO_QUBIT_HEAD = '{"version": 1, "kind": "two_qubit", "mode": "natural",\n'
+PULSE = '{"pulse_y": {"omega": 1, "duration": 1}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": [\n  {"pulse_y": {"omega": 1, "duration": 1},'
+                     ' "coupling": {"duration": 1, "j": 0.5}}]}',
+                     "step must be an object with a single key (line 3, column 3)",
+                     id="two-keys"),
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": [\n  {}]}',
+                     "step must be an object with a single key (line 3, column 3)",
+                     id="no-key"),
+        pytest.param(TWO_QUBIT_HEAD + f' "steps": [\n  {PULSE},\n  [1]]}}',
+                     "step must be an object with a single key (line 4, column 3)",
+                     id="list-step"),
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": [\n  {"x": {"omega": 1, "duration": 1}}]}',
+                     "unknown step kind 'x' (line 3, column 4)",
+                     id="unknown-step-kind"),
+        pytest.param('{"version": 1, "kind": "single_qubit",\n "segments": {"axis": [0, 0, 1]}}',
+                     "field 'segments' must be a list (line 2, column 2)",
+                     id="segments-not-a-list"),
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": null}',
+                     "field 'steps' must be a list (line 2, column 2)",
+                     id="steps-not-a-list"),
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": [\n  {"pulse_y": {"omega": 1, "duration": -1}}]}',
+                     "invalid pulse_y step: duration must be finite and >= 0, got -1.0"
+                     " (line 3, column 28)",
+                     id="pulse-y-duration"),
+        pytest.param(TWO_QUBIT_HEAD + ' "steps": [\n  {"pulse_y": {"omega": -2, "duration": 1}}]}',
+                     "invalid pulse_y step: omega must be finite and >= 0, got -2.0"
+                     " (line 3, column 16)",
+                     id="pulse-y-omega"),
+    ],
+)
+def test_structure_error_message_and_position(text, message):
+    with pytest.raises(ScheduleParseError) as exc:
+        parse_schedule(text)
+    assert str(exc.value) == message
+
+
+def json_dumps_render(sched) -> str:
+    """The schedule file as json.dumps(doc, indent=2) writes it: the written layout's oracle."""
+    if isinstance(sched, Schedule):
+        doc = {
+            "version": 1,
+            "kind": "single_qubit",
+            "label": sched.label,
+            "segments": [
+                {"axis": seg.axis, "omega": seg.omega, "duration": seg.duration}
+                for seg in sched.segments
+            ],
+        }
+    else:
+        doc = {
+            "version": 1,
+            "kind": "two_qubit",
+            "label": sched.label,
+            "mode": sched.mode,
+            "steps": [
+                {"coupling": {"duration": step.duration, "j": step.coupling_j}}
+                if isinstance(step, CouplingStep)
+                else {"pulse_y": {"omega": step.omega, "duration": step.duration}}
+                for step in sched.steps
+            ],
+        }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Labels with what JSON must escape: quotes, backslashes, control and
+# non-ASCII characters, and lone surrogates.
+labels = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "\ud800", "\udfff"]),
+    ),
+    max_size=12,
+)
+# Edge values, and the kinds of number a constructor converts to a float.
+EDGES = [0.0, -0.0, 5e-324, 1e300]
+non_negative = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(0, 100, allow_nan=False),
+    st.integers(0, 10**6),
+    st.integers(0, 1000).map(np.int64),
+    st.booleans(),
+)
+positive = non_negative.filter(lambda v: v > 0)
+INTEGER_AXES = [(0, 0, 1), (False, True, False), tuple(np.int64([0, 0, -1])),
+                (0.0, -0.0, 1.0), (5e-324, -1.0, 0.0)]
+Y_AXES = [(0, 1, 0), (False, True, False), tuple(np.int64([0, 1, 0])), (-0.0, 1.0, -0.0)]
+
+
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def built(cls, *args):
+    """cls(*args), or an assumption failure if the values overflow its angle."""
+    try:
+        return cls(*args)
+    except InvalidFieldError:
+        assume(False)
+
+
+edge_segments = st.builds(
+    built, st.just(ControlSegment), st.one_of(unit_axes, st.sampled_from(INTEGER_AXES)),
+    non_negative, non_negative,
+)
+edge_steps = st.one_of(
+    st.builds(built, st.just(ControlSegment), st.sampled_from(Y_AXES), non_negative,
+              non_negative),
+    st.builds(built, st.just(CouplingStep), non_negative, positive),
+)
+edge_schedules = st.one_of(
+    st.builds(Schedule, st.lists(edge_segments, max_size=6), labels),
+    st.builds(ConditionalSchedule, st.lists(edge_steps, max_size=6),
+              st.sampled_from(["natural", "line_selective"]), labels),
+)
+
+
+@settings(max_examples=300)
+@given(edge_schedules)
+def test_written_layout_is_json_dumps_indent_2(sched):
+    text = serialize_schedule(sched)
+    assert text == json_dumps_render(sched)
+    # JSON reads an escaped high surrogate followed by an escaped low one as
+    # the one character they encode, so only such labels do not round-trip.
+    if not SURROGATE_PAIR.search(sched.label):
+        assert parse_schedule(text) == sched
