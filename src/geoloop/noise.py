@@ -79,19 +79,30 @@ class SweepResult:
     spec: NoiseSpec
 
 
+def _noisy(spec: NoiseSpec) -> bool:
+    """Whether trials draw anything: with both sigmas zero, none does."""
+    return spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
+
+
+def _nominal_drives(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """Unperturbed (omega, tau) of every segment, each of shape (len(sched),)."""
+    omega = np.array([seg.omega for seg in sched], dtype=float)
+    tau = np.array([seg.duration for seg in sched], dtype=float)
+    return omega, tau
+
+
 def _perturbed_drives(
-    sched: Schedule, spec: NoiseSpec, draws: np.ndarray
+    omega: np.ndarray, tau: np.ndarray, spec: NoiseSpec, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed (omega, tau) of every segment from standard normal draws.
 
-    draws has shape (trials, len(sched), 2) and holds each segment's
-    (eps, delta): omega -> omega * (1 + sigma_omega * eps), tau -> tau *
-    (1 + sigma_tau * delta), clamped at zero so segment invariants survive
-    large draws. Both arrays have shape (trials, len(sched)). A draw whose
-    angle omega * tau overflows raises ValueError, not a warning.
+    omega and tau are the nominal drives (``_nominal_drives``). draws has
+    shape (trials, len(sched), 2) and holds each segment's (eps, delta):
+    omega -> omega * (1 + sigma_omega * eps), tau -> tau * (1 + sigma_tau *
+    delta), clamped at zero so segment invariants survive large draws. Both
+    arrays returned have shape (trials, len(sched)). A draw whose angle
+    omega * tau overflows raises ValueError, not a warning.
     """
-    omega = np.array([seg.omega for seg in sched], dtype=float)
-    tau = np.array([seg.duration for seg in sched], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         omega = np.maximum(omega * (1.0 + spec.sigma_omega * draws[..., 0]), 0.0)
         tau = np.maximum(tau * (1.0 + spec.sigma_tau * draws[..., 1]), 0.0)
@@ -112,15 +123,33 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     trial_index of ``fidelity_sweep`` propagates.
     """
     draws = np.zeros((1, len(sched), 2))
-    if spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0:
+    if _noisy(spec):
         rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
         rng.standard_normal(out=draws[0])
-    omega, tau = _perturbed_drives(sched, spec, draws)
+    omega, tau = _perturbed_drives(*_nominal_drives(sched), spec, draws)
     segments = tuple(
         ControlSegment(seg.axis, w, t)
         for seg, w, t in zip(sched, omega[0].tolist(), tau[0].tolist())
     )
     return Schedule(segments=segments, label=sched.label)
+
+
+def predicted_infidelity(sched: Schedule, spec: NoiseSpec) -> float:
+    """Leading-order mean infidelity 1 - E[F] of a sweep against the unperturbed gate.
+
+    A trial scales segment k's angle theta_k = omega_k tau_k by (1 +
+    sigma_omega eps_k)(1 + sigma_tau delta_k), which to first order rotates
+    the gate by v = sum_k dtheta_k m_k about the axes m_k carried through
+    the later segments; the fidelity is then about 1 - |v|^2 / 8. The draws
+    are independent, so the cross terms vanish in expectation and
+    E[1 - F] = (sigma_omega^2 + sigma_tau^2 + sigma_omega^2 sigma_tau^2)
+    sum_k theta_k^2 / 8 + O(sigma^4), whatever the axes; the zero clamp is
+    ignored. The angles come from ``drive_arrays``, not from the sweep's
+    own perturbation code, so this checks the sweep independently.
+    """
+    _, theta = drive_arrays(sched.segments)
+    var_omega, var_tau = spec.sigma_omega**2, spec.sigma_tau**2
+    return (var_omega + var_tau + var_omega * var_tau) * float(theta @ theta) / 8
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,17 +240,17 @@ def _seed_rows_type() -> type:
     return SeedRows
 
 
-def _block_draws(spec: NoiseSpec, segments: int):
-    """Yield (trial slice, draws) for every TRIAL_BLOCK of the sweep.
+def _block_draws(spec: NoiseSpec, segments: int, trials: int):
+    """Yield (trial slice, draws) for every TRIAL_BLOCK of trials 0 .. trials - 1.
 
     draws[i] holds trial i's (eps, delta) per segment, in that order: the
     standard normals of a PCG64 seeded exactly as default_rng([seed, i]),
     which is what ``perturb_schedule`` draws, or zeros when both sigmas are
     zero. The streams' seed words are hashed one block at a time.
     """
-    noisy = spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
-    for start in range(0, spec.trials, TRIAL_BLOCK):
-        stop = min(start + TRIAL_BLOCK, spec.trials)
+    noisy = _noisy(spec)
+    for start in range(0, trials, TRIAL_BLOCK):
+        stop = min(start + TRIAL_BLOCK, trials)
         draws = np.zeros((stop - start, segments, 2))
         if noisy:
             from numpy.random import PCG64, Generator
@@ -236,22 +265,33 @@ def _block_draws(spec: NoiseSpec, segments: int):
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
-    Trial i propagates ``perturb_schedule(sched, spec, i)``, bit for bit,
-    but the seeds of all its streams are hashed in batches rather than by
-    one SeedSequence per trial. Trials are propagated in blocks: one
-    ``su2`` call per block over its (trials, segments) angles, then one
-    product step per segment across the block's trials.
+    target is a 2x2 gate; any other shape raises ValueError. Trial i
+    propagates ``perturb_schedule(sched, spec, i)``, bit for bit, but the
+    seeds of all its streams are hashed in batches rather than by one
+    SeedSequence per trial. Trials are propagated in blocks: one ``su2``
+    call per block over its (trials, segments) angles, then one product
+    step per segment across the block's trials. With both sigmas zero
+    every trial propagates the unperturbed schedule, so the sweep
+    propagates trial 0 alone and repeats its fidelity; the fidelities and
+    their statistics are the same, bit for bit, as if every trial ran.
     """
-    target_dag = np.asarray(target, dtype=complex).conj().T
-    dim = target_dag.shape[0]
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (2, 2):
+        raise ValueError(f"target must be a 2x2 gate, got shape {target.shape}")
+    target_dag = target.conj().T
     axes, _ = drive_arrays(sched.segments)
-    fidelities = np.empty(spec.trials)
-    for block, draws in _block_draws(spec, len(sched)):
-        omega, tau = _perturbed_drives(sched, spec, draws)
+    nominal = _nominal_drives(sched)
+    noisy = _noisy(spec)
+    fidelities = np.empty(spec.trials if noisy else 1)
+    for block, draws in _block_draws(spec, len(sched), len(fidelities)):
+        omega, tau = _perturbed_drives(*nominal, spec, draws)
         # Segment-major, so each product step multiplies the whole block.
         steps = su2(axes, omega * tau).swapaxes(0, 1)
-        overlap = np.trace(target_dag @ ordered_product(steps), axis1=-2, axis2=-1)
-        fidelities[block] = np.abs(overlap) / dim
+        product = target_dag @ ordered_product(steps)
+        # The trace, read off the diagonal: np.trace gives the same bits slower.
+        fidelities[block] = np.abs(product[..., 0, 0] + product[..., 1, 1]) / 2
+    if not noisy:
+        fidelities = np.full(spec.trials, fidelities[0])
     return SweepResult(
         fidelities=tuple(fidelities.tolist()),
         mean=float(fidelities.mean()),

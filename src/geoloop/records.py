@@ -152,8 +152,19 @@ def _entries(field: str, entries, kinds: tuple) -> tuple:
 
 
 def _check_label(label) -> None:
+    """Require Unicode text: a string without surrogate code points.
+
+    A surrogate cannot be written as UTF-8, and a file's escaped high
+    surrogate followed by an escaped low one reads back as one character.
+    """
     if not isinstance(label, str):
         raise InvalidFieldError("label", f"label must be a string, got {label!r}")
+    if not label.isascii():
+        try:
+            label.encode()  # UTF-8 refuses exactly the surrogates
+        except UnicodeEncodeError:
+            message = f"label must not hold surrogate code points, got {label!r}"
+            raise InvalidFieldError("label", message) from None
 
 
 class ControlSegment(_Record):

@@ -519,6 +519,20 @@ def test_non_string_label_is_an_input_error_at_its_key(tmp_path, capsys):
         f"error: {file}: label must be a string, got 5 (line 2, column 2)\n")
 
 
+@pytest.mark.parametrize("command", [["verify", "--target", "u_chi:0"],
+                                     ["noise", "--target", "u_chi:0", "--sigma-tau", "0.1"]])
+def test_surrogate_label_is_an_input_error_at_its_key(tmp_path, capsys, command):
+    file = tmp_path / "label.json"
+    file.write_text('{"version": 1, "kind": "single_qubit",\n'
+                    ' "label": "loop \\udfff", "segments": []}')
+    capsys.readouterr()
+    assert main([command[0], str(file), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {file}: label must not hold surrogate code points, "
+                            "got 'loop \\udfff' (line 2, column 2)\n")
+
+
 class TestGoldenBytes:
     """CLI output bytes, pinned; file names are relative to the working directory."""
 

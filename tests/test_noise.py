@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -11,10 +13,12 @@ from geoloop.noise import (
     TRIAL_BLOCK,
     NoiseSpec,
     _block_draws,
+    _nominal_drives,
     _perturbed_drives,
     _seed_words,
     fidelity_sweep,
     perturb_schedule,
+    predicted_infidelity,
 )
 from geoloop.records import InvalidFieldError
 
@@ -77,9 +81,9 @@ class TestPerturbSchedule:
         spec = NoiseSpec(sigma_omega=1e308)
         draws = np.full((1, len(LOOP), 2), 2.0)
         with pytest.raises(ValueError, match="not finite"):
-            _perturbed_drives(LOOP, spec, draws)
+            _perturbed_drives(*_nominal_drives(LOOP), spec, draws)
         # A draw that overflows downwards is clamped at zero, like any other.
-        omega, tau = _perturbed_drives(LOOP, spec, -draws)
+        omega, tau = _perturbed_drives(*_nominal_drives(LOOP), spec, -draws)
         assert omega.tolist() == [[0.0] * len(LOOP)]
         assert tau.tolist() == [[seg.duration for seg in LOOP]]
 
@@ -195,6 +199,14 @@ class TestFidelitySweep:
             u = schedule_unitary(perturb_schedule(Schedule(segments=(seg,)), spec, i))
             assert abs(fid - abs(np.trace(u)) / 2) <= 1e-14
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3), (3, 2), (2,), ()])
+    def test_target_must_be_a_2x2_gate(self, shape):
+        # A sweep propagates one qubit; any other target would give a number
+        # that is not a fidelity, or numpy's matmul error.
+        for sched in (LOOP, Schedule()):
+            with pytest.raises(ValueError, match=r"^target must be a 2x2 gate, got shape"):
+                fidelity_sweep(sched, np.ones(shape), NoiseSpec(trials=2))
+
     def test_summary_statistics(self):
         spec = NoiseSpec(sigma_tau=0.05, trials=50, seed=3)
         result = fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
@@ -235,7 +247,7 @@ class TestBatchedSeeding:
     def test_sweep_draws_match_default_rng(self, seed):
         # Crosses a trial block, whose seeds are hashed together.
         spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 5, seed=seed)
-        draws = np.concatenate([d for _, d in _block_draws(spec, len(LOOP))])
+        draws = np.concatenate([d for _, d in _block_draws(spec, len(LOOP), spec.trials)])
         assert draws.shape == (spec.trials, len(LOOP), 2)
         for trial in [0, TRIAL_BLOCK // 4, TRIAL_BLOCK - 1, TRIAL_BLOCK, spec.trials - 1]:
             rng = np.random.default_rng([seed & (2**64 - 1), trial])
@@ -243,7 +255,7 @@ class TestBatchedSeeding:
 
     def test_blocks_tile_the_sweep(self):
         spec = NoiseSpec(sigma_tau=0.1, trials=2 * TRIAL_BLOCK + 1, seed=3)
-        blocks = [block for block, _ in _block_draws(spec, len(LOOP))]
+        blocks = [block for block, _ in _block_draws(spec, len(LOOP), spec.trials)]
         covered = [i for block in blocks for i in range(spec.trials)[block]]
         assert covered == list(range(spec.trials))
         assert max(b.stop - b.start for b in blocks) == TRIAL_BLOCK
@@ -259,3 +271,94 @@ class TestBatchedSeeding:
             for seg, (eps, delta) in zip(LOOP, draws)
         ]
         assert [(s.omega, s.duration) for s in got] == expected
+
+
+# Schedules of the pinned sweep grid: paper loops, a loop with other axes
+# and a zero-duration segment, and the empty schedule.
+PINNED_SCHEDULES = [
+    LOOP,
+    single_loop_schedule(1.1, 0.7, 1.6),
+    Schedule(segments=(
+        ControlSegment((0.6, 0.0, 0.8), 1.3, 0.4),
+        ControlSegment((0.0, -0.8, 0.6), 0.9, 0.0),
+        ControlSegment((-0.48, 0.6, 0.64), 2.0, 0.75),
+    )),
+    Schedule(),
+]
+PINNED_SIGMAS = [(0.0, 0.0), (0.03, 0.0), (0.0, 0.02), (0.05, 0.01), (1.5, 1.5)]
+PINNED_TRIALS = [1, TRIAL_BLOCK, TRIAL_BLOCK + 1]
+PINNED_SEEDS = [0, 7, 2**32 + 5, 2**64 - 1]
+
+
+def test_sweep_bits_pinned():
+    # sha256 of float.hex of every fidelity, mean, minimum and std over the
+    # grid, recorded before noiseless sweeps propagated a single trial.
+    digest = hashlib.sha256()
+    grid = itertools.product(PINNED_SCHEDULES, PINNED_SIGMAS, PINNED_TRIALS)
+    for case, (sched, (sigma_omega, sigma_tau), trials) in enumerate(grid):
+        seed = PINNED_SEEDS[case % len(PINNED_SEEDS)]
+        spec = NoiseSpec(sigma_omega, sigma_tau, trials, seed)
+        result = fidelity_sweep(sched, u_chi(0.3), spec)
+        values = result.fidelities + (result.mean, result.minimum, result.std)
+        digest.update(" ".join(map(float.hex, values)).encode() + b"\n")
+    assert digest.hexdigest() == "ca8025b86967fdafe1c8aa9bd0badce4a2fcaff39f82ed3a11fd45c78a7c26d1"
+
+
+@pytest.mark.parametrize("sched", PINNED_SCHEDULES)
+def test_noiseless_sweep_propagates_the_unperturbed_gate(sched, monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a noiseless sweep draws nothing")
+
+    monkeypatch.setattr(np.random, "PCG64", no_stream)
+    target = u_chi(0.3)
+    expected = abs(np.trace(target.conj().T @ schedule_unitary(sched))) / 2
+    spec = NoiseSpec(trials=TRIAL_BLOCK + 3, seed=5)
+    result = fidelity_sweep(sched, target, spec)
+    assert [f.hex() for f in result.fidelities] == [expected.hex()] * spec.trials
+
+
+class TestPredictedInfidelity:
+    """The sweep's mean infidelity against its leading-order closed form."""
+
+    # Paper loops, loops about other axes, and one with a zero-duration segment.
+    CASES = [
+        (LOOP, (1e-2, 1e-2)),
+        (single_loop_schedule(0.2, 0.7, 1.6), (1e-3, 1e-2)),
+        (single_loop_schedule(math.pi / 2, 1.3, 0.5), (0.0, 5e-3)),
+        (PINNED_SCHEDULES[2], (1e-2, 0.0)),
+        (Schedule(segments=(
+            ControlSegment((0.0, 0.6, -0.8), 2.2, 0.9),
+            ControlSegment((0.8, 0.0, 0.6), 1.5, 1.1),
+            ControlSegment((-0.36, 0.48, 0.8), 0.7, 2.0),
+            ControlSegment((0.0, 0.0, 1.0), 3.0, 0.6),
+            ControlSegment((1.0, 0.0, 0.0), 0.5, 1.0),
+        )), (1e-2, 1e-2)),
+        (Schedule(segments=(
+            ControlSegment((0.0, 1.0, 0.0), 1.7, 0.8),
+            ControlSegment((0.6, -0.8, 0.0), 2.5, 0.0),
+            ControlSegment((0.0, 0.8, 0.6), 0.9, 1.4),
+        )), (5e-3, 1e-2)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_mean_infidelity_within_standard_errors(self, case):
+        sched, (sigma_omega, sigma_tau) = self.CASES[case]
+        spec = NoiseSpec(sigma_omega, sigma_tau, trials=10_000, seed=600 + case)
+        result = fidelity_sweep(sched, schedule_unitary(sched), spec)
+        infidelity = 1.0 - np.array(result.fidelities)
+        stderr = infidelity.std() / math.sqrt(spec.trials)
+        assert abs(infidelity.mean() - predicted_infidelity(sched, spec)) <= 4 * stderr
+
+    @pytest.mark.parametrize("chi", [0.0, 0.4, math.pi / 4, math.pi / 2])
+    def test_paper_loop_total_rotation(self, chi):
+        # The paper's loop turns by pi/2, pi, pi/2 and pi - 2 chi, so
+        # sum theta_k^2 = 3 pi^2 / 2 + (pi - 2 chi)^2, whatever the omegas.
+        spec = NoiseSpec(0.03, 0.02)
+        factor = (0.03**2 + 0.02**2 + 0.03**2 * 0.02**2) / 8
+        expected = factor * (1.5 * math.pi**2 + (math.pi - 2 * chi) ** 2)
+        got = predicted_infidelity(single_loop_schedule(chi, 0.8, 1.9), spec)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_no_rotation_no_infidelity(self):
+        assert predicted_infidelity(Schedule(), NoiseSpec(0.1, 0.1)) == 0.0
+        assert predicted_infidelity(LOOP, NoiseSpec()) == 0.0

@@ -249,6 +249,11 @@ UNWRITABLE = {
     "none-label": (Schedule, ((), None), "label"),
     "conditional-int-label": (ConditionalSchedule, ((), "natural", 5), "label"),
     "conditional-none-label": (ConditionalSchedule, ((), "natural", None), "label"),
+    # A surrogate code point is not Unicode text: such a label cannot be
+    # written as UTF-8, and a pair of escaped ones reads back as one character.
+    "lone-surrogate-label": (Schedule, ((), "loop \udfff"), "label"),
+    "surrogate-pair-label": (Schedule, ((), "\ud800\udfff"), "label"),
+    "conditional-surrogate-label": (ConditionalSchedule, ((), "natural", "\ud800"), "label"),
 }
 
 
@@ -258,6 +263,18 @@ def test_schedules_reject_what_the_file_format_cannot_hold(case):
     with pytest.raises(InvalidFieldError) as exc:
         cls(*args)
     assert exc.value.field == field
+
+
+def test_surrogate_label_message_shows_it_escaped():
+    with pytest.raises(InvalidFieldError) as exc:
+        Schedule((), "a\ud800\udfff")
+    assert str(exc.value) == "label must not hold surrogate code points, got 'a\\ud800\\udfff'"
+
+
+def test_labels_of_any_plane_are_text():
+    label = "\x00\x7f\u00e9\u4e2d\U0001f600\U0010ffff"
+    assert Schedule((), label).label == label
+    assert ConditionalSchedule((), "natural", label).label == label
 
 
 def test_schedules_accept_subclasses_of_their_entries():
