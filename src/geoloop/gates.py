@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import unitarity_defect
-from .records import _Record, _setfield
+from .records import _Record, _setfield, as_finite
 
 # Re-exported: perfbench/tracing.py times it as gates.single_loop_schedule.
 from .records import single_loop_schedule
@@ -50,8 +50,10 @@ def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
     """Cyclic-evolution gate with phase gamma on the (chi, phi) axis states.
 
     The plus-branch state at (chi, phi) is an eigenvector with eigenvalue
-    e^{i gamma}, the minus branch with e^{-i gamma}.
+    e^{i gamma}, the minus branch with e^{-i gamma}. A NaN or infinite angle
+    raises InvalidFieldError naming it.
     """
+    gamma, chi, phi = as_finite("gamma", gamma), as_finite("chi", chi), as_finite("phi", phi)
     eg = np.exp(1j * gamma)
     c2 = math.cos(chi / 2) ** 2
     s2 = math.sin(chi / 2) ** 2
@@ -66,7 +68,11 @@ def u_gate(gamma: float, chi: float, phi: float) -> np.ndarray:
 
 
 def u_chi(chi: float) -> np.ndarray:
-    """Closed form of the single-loop gate: pure geometric phase -pi/2."""
+    """Closed form of the single-loop gate: pure geometric phase -pi/2.
+
+    Any finite chi; a NaN or infinite one raises InvalidFieldError.
+    """
+    chi = as_finite("chi", chi)
     c, s = math.cos(chi), math.sin(chi)
     return np.array([[-1j * c, -1j * s], [-1j * s, 1j * c]], dtype=complex)
 
@@ -75,7 +81,8 @@ def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
     """Entrywise (global-phase-sensitive) comparison of two gate matrices.
 
     u and v must be square matrices of one shape; any other pair of shapes
-    raises DimensionMismatchError.
+    raises DimensionMismatchError. A matrix with an infinite or NaN entry, or
+    a pair whose products overflow, raises ValueError.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -84,11 +91,17 @@ def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
     if u.ndim != 2 or not u.shape[0] == u.shape[1] > 0:
         raise DimensionMismatchError(f"need square matrices, got shape {u.shape}")
     dim = u.shape[0]
-    return GateReport(
-        max_entry_deviation=float(abs(u - v).max()),
-        trace_fidelity=float(abs((u.conj().T @ v).trace()) / dim),
-        unitarity_defect=max(unitarity_defect(u), unitarity_defect(v)),
-    )
+    deviation = float(abs(u - v).max())
+    # An inf or NaN entry in either matrix makes the deviation non-finite; it
+    # is checked before the products, where inf * 0 would only warn.
+    if math.isfinite(deviation):
+        fidelity = float(abs((u.conj().T @ v).trace()) / dim)
+        defect = max(unitarity_defect(u), unitarity_defect(v))
+        if math.isfinite(fidelity) and math.isfinite(defect):
+            return GateReport(
+                max_entry_deviation=deviation, trace_fidelity=fidelity, unitarity_defect=defect
+            )
+    raise ValueError("gate matrices must be finite, with products that do not overflow")
 
 
 def commutator_norm(u: np.ndarray, v: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import drive_arrays, ordered_product, su2
+from .core import drive_arrays, ordered_product, su2, unitarity_defect
 from .records import (
     ControlSegment,
     InvalidFieldError,
@@ -35,6 +35,9 @@ from .records import (
 # it and numpy's per-call cost over hundreds of trials, while keeping a
 # sweep's temporaries under 0.5 MB however many trials it runs.
 TRIAL_BLOCK = 512
+# Largest unitarity defect of a sweep's target: the tolerance gates are
+# certified to, so a fidelity cannot exceed 1 by more than about this.
+TARGET_UNITARITY_TOL = 1e-12
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -265,19 +268,27 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
-    target is a 2x2 gate; any other shape raises ValueError. Trial i
-    propagates ``perturb_schedule(sched, spec, i)``, bit for bit, but the
-    seeds of all its streams are hashed in batches rather than by one
-    SeedSequence per trial. Trials are propagated in blocks: one ``su2``
-    call per block over its (trials, segments) angles, then one product
-    step per segment across the block's trials. With both sigmas zero
-    every trial propagates the unperturbed schedule, so the sweep
-    propagates trial 0 alone and repeats its fidelity; the fidelities and
-    their statistics are the same, bit for bit, as if every trial ran.
+    target is a finite 2x2 gate, unitary to TARGET_UNITARITY_TOL; any
+    other target raises ValueError. Trial i propagates
+    ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
+    its streams are hashed in batches rather than by one SeedSequence per
+    trial. Trials are propagated in blocks: one ``su2`` call per block over
+    its (trials, segments) angles, then one product step per segment across
+    the block's trials. With both sigmas zero every trial propagates the
+    unperturbed schedule, so the sweep propagates trial 0 alone and repeats
+    its fidelity; the fidelities and their statistics are the same, bit for
+    bit, as if every trial ran.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be a 2x2 gate, got shape {target.shape}")
+    if not np.isfinite(target).all():
+        raise ValueError(f"target must be finite, got {target.tolist()}")
+    defect = unitarity_defect(target)
+    if not defect <= TARGET_UNITARITY_TOL:
+        raise ValueError(
+            f"target is not unitary: unitarity defect {defect:.3g} > {TARGET_UNITARITY_TOL:g}"
+        )
     target_dag = target.conj().T
     axes, _ = drive_arrays(sched.segments)
     nominal = _nominal_drives(sched)

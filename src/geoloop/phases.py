@@ -189,10 +189,13 @@ def sample_path(
     Each segment rotates the Bloch vector about its axis n by theta =
     omega * t. Interior points come from the closed (Rodrigues) form
     r(theta) = (1, cos theta, sin theta) . ((n.r0) n, r0 - (n.r0) n, n x r0)
-    of the segment's entry point r0, one matrix product per block of
-    PATH_BLOCK rows. Each segment with nonzero duration contributes
-    samples_per_segment - 1 new points, so the path has
-    1 + (moving segments) * (samples_per_segment - 1) samples in total.
+    of the segment's entry point r0, one matrix product per segment and
+    block of PATH_BLOCK rows. The blocks run across segments, and the angles
+    and their cos and sin are computed once per block for each distinct
+    (omega, duration), however many segments share it. Each segment with
+    nonzero duration contributes samples_per_segment - 1 new points, so the
+    path has 1 + (moving segments) * (samples_per_segment - 1) samples in
+    total.
     """
     per_segment = as_int("samples_per_segment", samples_per_segment) - 1
     if per_segment < 1:
@@ -209,81 +212,137 @@ def sample_path(
     return BlochPath(t=times, r=points)
 
 
+def segment_endpoints(
+    sched: Schedule, r0: np.ndarray, per_segment: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entry points and Rodrigues bases of the segments with nonzero duration.
+
+    Walks the schedule from the Bloch vector r0. A moving segment with axis
+    n entered at r turns it to (1, cos theta, sin theta) . B after the angle
+    theta = omega * t, with the basis B = ((n.r) n, r - (n.r) n, n x r); it
+    ends at theta = omega * duration, where the next one starts. Each end
+    point is the second of two rows, at the fractions (per_segment - 1) /
+    per_segment and 1 of the duration (one row, at 1, when per_segment is
+    1), with the angles and the kind of matrix product that _fill_segments
+    gives the segment's final block. So the entry points are, bit for bit,
+    the rows on which a path of per_segment + 1 samples per segment ends
+    its segments.
+
+    Returns the points, shape (moving + 1, 3): each moving segment's entry
+    point, then the end of the last one; and the bases, shape (moving, 3, 3).
+    """
+    segments = [seg for seg in sched if seg.duration > 0]
+    points = np.empty((len(segments) + 1, 3))
+    bases = np.empty((len(segments), 3, 3))
+    points[0] = r0
+    # numpy multiplies a one-row block by gemv, not gemm, and the two can give
+    # a zero coordinate opposite signs. So a final block has one row only
+    # when per_segment is 1, and at least two otherwise.
+    fractions = np.arange(max(per_segment - 1, 1), per_segment + 1.0) / per_segment
+    # The end rows' angles of every segment at once: fraction * duration * omega.
+    drives = np.array([(seg.duration, seg.omega) for seg in segments]).reshape(-1, 2, 1)
+    theta = fractions * drives[:, 0] * drives[:, 1]
+    coeffs = np.ones(theta.shape + (3,))  # rows (1, cos theta, sin theta)
+    np.cos(theta, out=coeffs[..., 1])
+    np.sin(theta, out=coeffs[..., 2])
+    for k, seg in enumerate(segments):
+        r = points[k]
+        n = np.asarray(seg.axis)
+        along = (n @ r) * n
+        # n x r in np.cross's operations, without its per-call cost
+        (nx, ny, nz), (x, y, z) = seg.axis, r.tolist()
+        cross = (ny * z - nz * y, nz * x - nx * z, nx * y - ny * x)
+        bases[k] = along, r - along, cross
+        points[k + 1] = (coeffs[k] @ bases[k])[-1]
+    return points, bases
+
+
 def _fill_segments(
     sched: Schedule, per_segment: int, times: np.ndarray, points: np.ndarray
 ) -> None:
     """Write every moving segment's samples after the first row, in blocks.
 
     Sample j of a segment (1 <= j <= per_segment) sits at the fraction
-    j / per_segment of its duration. The block's slice of times holds that
-    fraction, then the elapsed time, then the absolute time: the IEEE
+    j / per_segment of its duration. segment_endpoints gives every segment's
+    basis first, so the fill runs block-major: for each block of fractions,
+    the elapsed times t, the angles omega * t and their cos and sin are
+    computed once for each distinct (omega, duration), keyed by its exact
+    bits so that omega = -0.0 and 0.0 stay apart, and then every segment of
+    that shape gets its own absolute times and its own matrix product. The
+    fraction, then the elapsed time, then the absolute time are the IEEE
     operations of the whole-segment form, so no point depends on the block
-    size.
+    size or on which segments share a shape.
     """
-    # numpy multiplies a one-row block by gemv, not gemm, and the two can give
-    # a zero coordinate opposite signs. So only a one-row segment gets a
-    # one-row block, and a one-row tail is done as the last two rows.
-    block = min(max(PATH_BLOCK, 2), per_segment)
-    steps = np.arange(1.0, block + 1)
-    theta = np.empty(block)
-    coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
-    start = 1
+    starts = []  # (segment, start time) of each moving segment
     t0 = 0.0
     for seg in sched:
         if seg.duration > 0:
-            # The last fraction is exactly 1, so the segment's final point
-            # is the entry point of the next segment.
-            r0 = points[start - 1]
-            n = np.asarray(seg.axis)
-            along = (n @ r0) * n
-            # n x r0 in np.cross's operations, without its per-call cost
-            (nx, ny, nz), (x, y, z) = seg.axis, r0.tolist()
-            cross = (ny * z - nz * y, nz * x - nx * z, nx * y - ny * x)
-            basis = np.array([along, r0 - along, cross])
-            for lo in range(0, per_segment, block):
-                if lo == per_segment - 1 and lo > 0:
-                    lo -= 1  # a one-row tail
-                m = min(block, per_segment - lo)
-                rows = slice(start + lo, start + lo + m)
-                t = times[rows]
-                np.add(steps[:m], lo, out=t)
-                t /= per_segment
-                t *= seg.duration
-                np.multiply(t, seg.omega, out=theta[:m])
-                t += t0
-                np.cos(theta[:m], out=coeffs[:m, 1])
-                np.sin(theta[:m], out=coeffs[:m, 2])
-                np.matmul(coeffs[:m], basis, out=points[rows])
-            start += per_segment
+            starts.append((seg, t0))
         t0 += seg.duration
+    if not starts:
+        return
+    _, bases = segment_endpoints(sched, points[0], per_segment)
+    shapes: dict[tuple[str, str], list[int]] = {}
+    for k, (seg, _) in enumerate(starts):
+        shapes.setdefault((seg.omega.hex(), seg.duration.hex()), []).append(k)
+    # Only a one-row segment gets a one-row block (see segment_endpoints),
+    # and a one-row tail is done as the last two rows.
+    block = min(max(PATH_BLOCK, 2), per_segment)
+    theta = np.empty(block)
+    coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
+    for lo in range(0, per_segment, block):
+        if lo == per_segment - 1 and lo > 0:
+            lo -= 1  # a one-row tail
+        m = min(block, per_segment - lo)
+        fraction = np.arange(lo + 1.0, lo + m + 1.0)  # exact integers
+        fraction /= per_segment
+        for ks in shapes.values():
+            seg = starts[ks[0]][0]
+            rows = [slice(1 + k * per_segment + lo, 1 + k * per_segment + lo + m) for k in ks]
+            np.multiply(fraction, seg.duration, out=theta[:m])  # the elapsed times
+            for k, r in zip(ks, rows):
+                np.add(theta[:m], starts[k][1], out=times[r])
+            theta[:m] *= seg.omega
+            np.cos(theta[:m], out=coeffs[:m, 1])
+            np.sin(theta[:m], out=coeffs[:m, 2])
+            for k, r in zip(ks, rows):
+                np.matmul(coeffs[:m], bases[k], out=points[r])
+        del fraction  # before the next block's, so that one block's is alive at a time
 
 
-def _chain_phase(chain: np.ndarray, first: int, south: bool, buf: np.ndarray):
+def _chain_phase(
+    chain: np.ndarray, first: int, south: bool, pairs: np.ndarray, buf: np.ndarray
+):
     """Sum of arg <psi_k|psi_k+1> over the edges of a chain of points.
 
     Both ends of an edge are lifted in the pole chart of the edge's own
     hemisphere: north, (1 + z, x + iy), where s = z_k + z_k+1 >= 0, and
     south, (x - iy, 1 - z), otherwise. The overlap is then real arithmetic,
     1 + |s| + r_k.r_k+1 (which is >= |s|) plus i (r_k x r_k+1)_z, the
-    imaginary part, and so the phase, negated in the south chart. The south
-    lift is e^{-i phi} times the north lift (times a positive scale), so
-    where consecutive edges switch chart at a point k, phi_k =
-    atan2(y_k, x_k) is subtracted (north to south) or added (south to
-    north) to keep one lift per point.
+    imaginary part, and so the phase, negated in the south chart. Each
+    row's (x, y) is read as one complex w = x + iy, a view of the chain, so
+    one product conj(w_k) w_k+1 gives x_k x_k+1 + y_k y_k+1 as its real
+    part and (r_k x r_k+1)_z as its imaginary part. The south lift is
+    e^{-i phi} times the north lift (times a positive scale), so where
+    consecutive edges switch chart at a point k, phi_k = arg w_k is
+    subtracted (north to south) or added (south to north) to keep one lift
+    per point.
 
-    first is the index of chain[0] in the path, for the error message, and
-    south the chart of the edge that enters chain[0]. buf is scratch space
-    of shape (3, >= len(chain) - 1). Returns the sum and the chart of the
-    chain's last edge.
+    Each row of chain must hold its three coordinates contiguously, for
+    the complex view. first is the index of chain[0] in the path, for the
+    error message, and south the chart of the edge that enters chain[0].
+    pairs (complex) and buf (shape (2, ...)) are scratch space of at least
+    len(chain) - 1 columns. Returns the sum and the chart of the chain's
+    last edge.
     """
     m = len(chain) - 1
-    x, y, z = chain.T
-    dot, re, im = buf[:, :m]
-    np.multiply(x[:-1], x[1:], out=dot)
-    np.multiply(y[:-1], y[1:], out=re)
-    dot += re
-    np.multiply(z[:-1], z[1:], out=re)
-    dot += re
+    w = chain[:, :2].view(complex)[:, 0]
+    z = chain[:, 2]
+    pair, (dot, re) = pairs[:m], buf[:, :m]
+    np.conjugate(w[:-1], out=pair)
+    pair *= w[1:]
+    np.multiply(z[:-1], z[1:], out=dot)
+    dot += pair.real
     k = int(np.argmin(dot))
     overlap = (1.0 + dot[k]) / 2
     if not overlap >= MIN_EDGE_OVERLAP:
@@ -298,17 +357,18 @@ def _chain_phase(chain: np.ndarray, first: int, south: bool, buf: np.ndarray):
     np.abs(re, out=re)
     re += 1.0
     re += dot
-    np.multiply(x[:-1], y[1:], out=im)
-    np.multiply(y[:-1], x[1:], out=dot)
-    im -= dot
-    np.arctan2(im, re, out=im)  # each edge's phase in the north chart's sign
-    total = float(np.sum(im)) - 2.0 * float(im @ souths)
+    # arctan2 reads a contiguous copy of the imaginary parts faster than the
+    # view; the copy goes where the spent dot products were.
+    phase = dot
+    np.copyto(phase, pair.imag)
+    np.arctan2(phase, re, out=phase)  # each edge's phase in the north chart's sign
+    total = float(np.sum(phase)) - 2.0 * float(phase @ souths)
     entering = np.empty_like(souths)  # the chart of the edge entering each point
     entering[0] = south
     entering[1:] = souths[:-1]
     at = np.flatnonzero(entering != souths)
     if at.size:
-        phi = np.arctan2(y[at], x[at])
+        phi = np.angle(w[at])
         total -= float(np.sum(np.where(souths[at], phi, -phi)))
     return total, bool(souths[-1])
 
@@ -326,18 +386,26 @@ def solid_angle(path: BlochPath) -> float:
     sample k to k + 1) whose overlap (1 + r_k.r_k+1)/2 falls below
     MIN_EDGE_OVERLAP raises ValueError. A one-point path, the identity
     evolution's, is closed and encloses 0.
+
+    Each edge's overlap comes from one complex product per block of
+    PATH_BLOCK edges (see _chain_phase), on a view of the points without a
+    copy; points that are not C-contiguous are copied to that layout first.
     """
-    pts = path.points()
+    # Rows laid out (x, y, z), so that each (x, y) reads as one complex.
+    pts = np.ascontiguousarray(path.points())
     if not len(pts) or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
         raise OpenPathError("path is not closed to within the closure tolerance")
-    buf = np.empty((3, min(PATH_BLOCK, len(pts))))  # a column at least, for the closing edge
+    # A column at least, for the closing edge.
+    pairs = np.empty(min(PATH_BLOCK, len(pts)), dtype=complex)
+    buf = np.empty((2, len(pairs)))
     closing = pts[[-1, 0]]
     south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
     parts = []
     for start in range(0, len(pts) - 1, PATH_BLOCK):
-        phase, south = _chain_phase(pts[start:start + PATH_BLOCK + 1], start, south, buf)
+        chain = pts[start:start + PATH_BLOCK + 1]
+        phase, south = _chain_phase(chain, start, south, pairs, buf)
         parts.append(phase)
-    parts.append(_chain_phase(closing, len(pts) - 1, south, buf)[0])
+    parts.append(_chain_phase(closing, len(pts) - 1, south, pairs, buf)[0])
     # fsum keeps the block sums' rounding from growing with the block count.
     # A single loop cannot enclose more than the sphere.
     return 2.0 * wrap_phase(math.fsum(parts))

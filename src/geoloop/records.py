@@ -107,6 +107,14 @@ def as_float(field: str, value) -> float:
         raise InvalidFieldError(field, message) from None
 
 
+def as_finite(field: str, value) -> float:
+    """as_float(field, value), naming field if it is NaN or infinite."""
+    number = as_float(field, value)
+    if not math.isfinite(number):
+        raise InvalidFieldError(field, f"{field} must be finite, got {value}")
+    return number
+
+
 def as_int(field: str, value) -> int:
     """value as an int, if it is an integer that is not a bool; naming field if not."""
     if not isinstance(value, bool):

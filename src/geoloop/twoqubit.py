@@ -20,10 +20,10 @@ from .records import (
     ConditionalSchedule,
     ControlSegment,
     CouplingStep,
-    InvalidFieldError,
     Schedule,
     _Record,
     _setfield,
+    as_finite,
     as_float,
     check_chi,
     check_coupling,
@@ -35,13 +35,6 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 
 class MissingAccessoryError(ValueError):
     """No accessory-field frequency set on the parameters."""
-
-
-def _finite(field: str, value) -> float:
-    number = as_float(field, value)
-    if not math.isfinite(number):
-        raise InvalidFieldError(field, f"{field} must be finite, got {value}")
-    return number
 
 
 class NmrParams(_Record):
@@ -56,11 +49,11 @@ class NmrParams(_Record):
     def __init__(
         self, omega_a: float, omega_b: float, coupling_j: float, accessory: float | None = None
     ):
-        _setfield(self, "omega_a", _finite("omega_a", omega_a))
-        _setfield(self, "omega_b", _finite("omega_b", omega_b))
-        _setfield(self, "coupling_j", _finite("coupling_j", coupling_j))
+        _setfield(self, "omega_a", as_finite("omega_a", omega_a))
+        _setfield(self, "omega_b", as_finite("omega_b", omega_b))
+        _setfield(self, "coupling_j", as_finite("coupling_j", coupling_j))
         if accessory is not None:
-            accessory = _finite("accessory", accessory)
+            accessory = as_finite("accessory", accessory)
         _setfield(self, "accessory", accessory)
 
     def with_matched_accessory(self) -> "NmrParams":

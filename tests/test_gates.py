@@ -12,9 +12,10 @@ from geoloop.gates import (
     u_chi,
     u_gate,
 )
-from geoloop.records import ChiOutOfRangeError
+from geoloop.records import ChiOutOfRangeError, InvalidFieldError
 
 TOL = 1e-12
+NON_FINITE = [math.nan, math.inf, -math.inf]
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CHI_GRID = np.linspace(0, math.pi / 2, 101)
@@ -42,6 +43,16 @@ class TestUGate:
 
     def test_unitary(self):
         assert unitarity_defect(u_gate(0.3, 0.8, 2.0)) <= TOL
+
+    @pytest.mark.parametrize("field", ["gamma", "chi", "phi"])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_angles(self, field, bad):
+        # NaN gave NaN entries; an infinite chi raised math's bare "math
+        # domain error", and an infinite gamma or phi warned inside np.exp.
+        angles = {"gamma": 0.3, "chi": 0.2, "phi": 0.1, field: bad}
+        with pytest.raises(InvalidFieldError, match=f"^{field} must be finite, got") as exc:
+            u_gate(**angles)
+        assert exc.value.field == field
 
 
 class TestSingleLoopSchedule:
@@ -126,6 +137,13 @@ class TestUChi:
         u = u_chi(2.5)  # closed form has no range restriction
         assert unitarity_defect(u) <= TOL
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_chi(self, bad):
+        # NaN gave a matrix of NaNs, and +-inf math's bare "math domain error".
+        with pytest.raises(InvalidFieldError, match="^chi must be finite, got") as exc:
+            u_chi(bad)
+        assert exc.value.field == "chi"
+
 
 class TestCompareGates:
     def test_identical(self):
@@ -155,6 +173,18 @@ class TestCompareGates:
         u = np.ones(shape, dtype=complex)
         with pytest.raises(DimensionMismatchError, match=r"need square matrices"):
             compare_gates(u, u)
+
+    @pytest.mark.parametrize(
+        "bad", NON_FINITE + [complex(math.nan, 0.0), complex(0.0, -math.inf)]
+    )
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_non_finite_matrices(self, bad, dim):
+        # NaN entries gave a GateReport of three NaNs.
+        for side in (0, 1):
+            pair = [np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)]
+            pair[side][dim - 1, 0] = bad
+            with pytest.raises(ValueError, match="^gate matrices must be finite"):
+                compare_gates(*pair)
 
     def test_report_bits_unchanged(self):
         # Reference arithmetic through the numpy functions the report was

@@ -207,6 +207,26 @@ class TestFidelitySweep:
             with pytest.raises(ValueError, match=r"^target must be a 2x2 gate, got shape"):
                 fidelity_sweep(sched, np.ones(shape), NoiseSpec(trials=2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_target_must_be_finite(self, bad):
+        # A NaN target gave NaN fidelities; an inf one warned inside matmul.
+        target = u_chi(0.3)
+        target[1, 0] = bad
+        for sched in (LOOP, Schedule()):
+            with pytest.raises(ValueError, match=r"^target must be finite"):
+                fidelity_sweep(sched, target, NoiseSpec(trials=2))
+
+    @pytest.mark.parametrize("scale", [3.0, 0.0, 1.0 + 1e-11])
+    def test_target_must_be_unitary(self, scale):
+        # 3 I gave "fidelities" of 3.0.
+        with pytest.raises(ValueError, match=r"^target is not unitary: unitarity defect"):
+            fidelity_sweep(Schedule(), scale * np.eye(2), NoiseSpec(trials=2))
+
+    def test_target_within_the_gate_tolerance(self):
+        target = (1.0 + 1e-13) * u_chi(0.3)  # unitarity defect about 2e-13
+        result = fidelity_sweep(LOOP, target, NoiseSpec(sigma_tau=0.01, trials=3, seed=1))
+        assert len(result.fidelities) == 3
+
     def test_summary_statistics(self):
         spec = NoiseSpec(sigma_tau=0.05, trials=50, seed=3)
         result = fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)

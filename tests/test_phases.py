@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -106,6 +107,58 @@ def whole_segment_path(sched, initial, samples_per_segment):
             start = stop
         t0 += seg.duration
     return times, points
+
+
+# sha256 of every pinned_path_cases() path's times and points, recorded
+# before sample_path filled its blocks across segments (see
+# test_path_bits_pinned).
+PINNED_PATH_DIGEST = "0b6ce5417c5698e38ab1272fcc2e4ba1a9c3dd089ee9b0a22740a700fc6e482e"
+EXACT_AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
+
+
+def pinned_path_cases():
+    """(schedule, state, samples) of every path test_path_bits_pinned hashes.
+
+    First the paper loops, edge chi included, at 2 and 3 samples and at
+    whole PATH_BLOCK blocks with a one- and a two-row tail. Then 120 seeded
+    random schedules whose segments often reuse an earlier segment's
+    (omega, duration) on another axis, with zero durations, dwells
+    (omega = 0) and, in the first, omega = -0.0 next to omega = 0.0 at one
+    duration.
+    """
+    for chi in (0.0, 1e-6, 1e-4, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2):
+        for omega, omega2 in ((1.0, 1.0), (0.7, 1.3)):
+            for samples in (2, 3, 4097, 4098, 10_000):
+                yield (*loop_and_state(chi, omega, omega2), samples)
+    rng = np.random.default_rng(16)
+    for k in range(120):
+        shapes = [(-0.0, 0.8), (0.0, 0.8)] if k == 0 else []
+        segments = []
+        for j in range(5 if k == 0 else int(rng.integers(1, 7))):
+            if k == 0:
+                omega, duration = shapes[j % 2]
+            elif shapes and rng.random() < 0.5:
+                omega, duration = shapes[int(rng.integers(len(shapes)))]
+            else:
+                omega = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 3.0))
+                duration = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 2.0))
+                shapes.append((omega, duration))
+            if rng.random() < 0.3:
+                axis = EXACT_AXES[int(rng.integers(len(EXACT_AXES)))]
+            else:
+                v = rng.normal(size=3)
+                axis = tuple((v / np.linalg.norm(v)).tolist())
+            segments.append(ControlSegment(axis, omega, duration))
+        state = state_from_angles(
+            float(rng.uniform(0.0, math.pi)),
+            float(rng.uniform(-math.pi, math.pi)),
+            "plus" if rng.random() < 0.5 else "minus",
+        )
+        if k % 10 == 9:
+            samples = int(rng.choice([2, 3, 4097, 4098]))
+        else:
+            samples = int(rng.integers(2, 60))
+        yield Schedule(segments=tuple(segments)), state, samples
 
 
 class TestIsCyclic:
@@ -287,6 +340,26 @@ class TestSamplePath:
         path = sample_path(sched, state, 2)
         assert len(path.samples) == 1 + len(sched)
 
+    def test_path_bits_pinned(self):
+        digest = hashlib.sha256()
+        for sched, state, samples in pinned_path_cases():
+            path = sample_path(sched, state, samples)
+            digest.update(path.times().tobytes())
+            digest.update(path.points().tobytes())
+        assert digest.hexdigest() == PINNED_PATH_DIGEST
+
+    def test_segment_endpoints_are_the_path_rows(self):
+        # Each moving segment's entry point, and the last one's end, is the
+        # path row it ends on, bit for bit. The last case ends its segments
+        # on a zero that a one-row (gemv) product would sign differently.
+        seg = ControlSegment((-1.7697072924085078e-160, 0.0, 1.0), 1.0, 6.396503550355308e-202)
+        signed_zeros = (Schedule(segments=(seg, seg)), state_from_angles(0.0, 0.0, "minus"), 3)
+        for sched, state, samples in [*pinned_path_cases(), signed_zeros]:
+            path = sample_path(sched, state, samples)
+            ends, bases = phases.segment_endpoints(sched, path.points()[0], samples - 1)
+            assert ends.tobytes() == path.points()[:: samples - 1].tobytes()
+            assert bases.shape == (len(ends) - 1, 3, 3)
+
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             sample_path(Schedule(), QubitState(1, 0), 1)
@@ -458,6 +531,18 @@ class TestSolidAngle:
         path = BlochPath(t=[0.0, 1, 2, 3], r=np.vstack([pts, pts[:1]]))
         with pytest.raises(ValueError, match=f"edge {edge} "):
             solid_angle(path)
+
+    @pytest.mark.parametrize("layout", ["fortran", "padded rows"])
+    def test_point_layout_does_not_matter(self, layout):
+        path = sample_path(*loop_and_state(0.7, 0.9, 1.4), 5000)
+        pts = path.points()
+        if layout == "fortran":
+            pts = np.asfortranarray(pts)
+        else:
+            pts = np.hstack([pts, np.zeros((len(pts), 1))])[:, :3]
+        other = BlochPath(t=path.times(), r=pts)
+        assert not other.points().flags.c_contiguous
+        assert solid_angle(other) == solid_angle(path)
 
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_aa_relation(self, chi):
