@@ -111,7 +111,11 @@ def bloch_points(spinors: np.ndarray) -> np.ndarray:
     """
     a, b = spinors[..., 0], spinors[..., 1]
     ab = np.conj(a) * b
-    return np.stack((2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2), axis=-1)
+    points = np.empty(ab.shape + (3,))
+    np.multiply(ab.real, 2.0, out=points[..., 0])
+    np.multiply(ab.imag, 2.0, out=points[..., 1])
+    np.subtract(np.square(abs(a)), np.square(abs(b)), out=points[..., 2])
+    return points
 
 
 def bloch_vector(state: QubitState) -> BlochVector:
@@ -188,4 +192,4 @@ def _identity(dim: int) -> np.ndarray:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity."""
-    return float(abs(u.conj().T @ u - _identity(u.shape[0])).max())
+    return float(np.maximum.reduce(abs(u.conj().T @ u - _identity(u.shape[0])), None))

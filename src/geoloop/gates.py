@@ -91,16 +91,18 @@ def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
     if u.ndim != 2 or not u.shape[0] == u.shape[1] > 0:
         raise DimensionMismatchError(f"need square matrices, got shape {u.shape}")
     dim = u.shape[0]
-    deviation = float(abs(u - v).max())
-    # An inf or NaN entry in either matrix makes the deviation non-finite; it
-    # is checked before the products, where inf * 0 would only warn.
-    if math.isfinite(deviation):
-        fidelity = float(abs((u.conj().T @ v).trace()) / dim)
-        defect = max(unitarity_defect(u), unitarity_defect(v))
-        if math.isfinite(fidelity) and math.isfinite(defect):
-            return GateReport(
-                max_entry_deviation=deviation, trace_fidelity=fidelity, unitarity_defect=defect
-            )
+    # Non-finite entries (inf - inf) and overflowing products would warn;
+    # the finiteness tests below turn them into one ValueError instead.
+    with np.errstate(all="ignore"):
+        # np.maximum.reduce is ndarray.max, and np.add.reduce of the diagonal
+        # is ndarray.trace, without their wrappers.
+        deviation = float(np.maximum.reduce(abs(u - v), None))
+        # An inf or NaN entry in either matrix makes the deviation non-finite.
+        if math.isfinite(deviation):
+            fidelity = float(abs(np.add.reduce((u.conj().T @ v).diagonal())) / dim)
+            defect = max(unitarity_defect(u), unitarity_defect(v))
+            if math.isfinite(fidelity) and math.isfinite(defect):
+                return GateReport(deviation, fidelity, defect)
     raise ValueError("gate matrices must be finite, with products that do not overflow")
 
 

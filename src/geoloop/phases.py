@@ -139,7 +139,7 @@ def _follow(sched: Schedule, initial: QubitState) -> tuple[complex, float]:
     for k, u in enumerate(su2(axes, theta)):
         spinors[k] = vec
         vec = u @ vec
-    n_dot_r = np.sum(axes * bloch_points(spinors), axis=1)
+    n_dot_r = np.add.reduce(axes * bloch_points(spinors), 1)  # np.sum without its wrapper
     # 0.0 - x keeps an exactly zero phase unsigned, as the report prints it.
     return complex(np.vdot(start, vec)), 0.0 - 0.5 * float(theta @ n_dot_r)
 
@@ -177,7 +177,7 @@ def geometric_phase(sched: Schedule, initial: QubitState) -> PhaseDecomposition:
         raise NonCyclicError(
             f"initial state is not cyclic (|overlap| = {abs(overlap):.6g})"
         )
-    total = wrap_phase(float(np.angle(overlap)))
+    total = wrap_phase(float(np.arctan2(overlap.imag, overlap.real)))  # np.angle
     return PhaseDecomposition(total=total, dynamical=dyn, geometric=wrap_phase(total - dyn))
 
 

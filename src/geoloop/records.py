@@ -188,7 +188,7 @@ class ControlSegment(_Record):
     duration: float
 
     def __init__(self, axis: tuple[float, float, float], omega: float, duration: float):
-        ax = tuple([as_float("axis", c) for c in axis])
+        ax = tuple([c if type(c) is float else as_float("axis", c) for c in axis])
         if len(ax) != 3:
             raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
         x, y, z = ax
@@ -300,14 +300,13 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
     if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
         raise ValueError("omega and omega2 must be finite and > 0")
+    z_turn = ControlSegment((0.0, 0.0, 1.0), omega, math.pi / (2 * omega))
     return Schedule(
-        segments=(
-            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
-            ControlSegment(axis=(1, 0, 0), omega=omega2, duration=math.pi / omega2),
-            ControlSegment(axis=(0, 0, 1), omega=omega, duration=math.pi / (2 * omega)),
-            ControlSegment(
-                axis=(0, -1, 0), omega=omega2, duration=(math.pi - 2 * chi) / omega2
-            ),
+        (
+            z_turn,
+            ControlSegment((1.0, 0.0, 0.0), omega2, math.pi / omega2),
+            z_turn,
+            ControlSegment((0.0, -1.0, 0.0), omega2, (math.pi - 2 * chi) / omega2),
         ),
-        label=f"single-loop chi={chi:.12g}",
+        f"single-loop chi={chi:.12g}",
     )

@@ -188,11 +188,16 @@ def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
     _check_fields(obj, layout.allowed, name, path)
     fields = layout.fixed.copy()
     for key, field in layout.keys:
-        value = _require(obj, key, name, path)
+        if key not in obj:
+            raise _Reject(f"missing field {key!r} in {name}", path)
+        value = obj[key]
+        # A JSON float is already the number _number would return.
         if key != "axis":
-            fields[field] = _number(value, key, path)
+            fields[field] = value if type(value) is float else _number(value, key, path)
         elif isinstance(value, list) and len(value) == 3:
-            fields[field] = tuple([_number(c, key, path) for c in value])
+            fields[field] = tuple(
+                [c if type(c) is float else _number(c, key, path) for c in value]
+            )
         else:
             raise _Reject("field 'axis' must be a 3-element list", path + (key,))
     try:

@@ -67,14 +67,18 @@ class NmrParams(_Record):
 
 
 def nmr_hamiltonian(p: NmrParams) -> np.ndarray:
-    """(omega_a sz_a + omega_b sz_b + pi J sz_a sz_b) / 2, diagonal here."""
+    """(omega_a sz_a + omega_b sz_b + pi J sz_a sz_b) / 2, diagonal here.
+
+    Raises ValueError if a diagonal entry overflows the float range before
+    the halving.
+    """
+    pj = math.pi * p.coupling_j
+    # One diagonal entry sums |omega_a|, |omega_b| and |pi J| in this order.
+    if not math.isfinite(abs(p.omega_a) + abs(p.omega_b) + abs(pj)):
+        raise ValueError(f"Hamiltonian entries overflow the float range for {p}")
     sz_a = np.kron(IDENTITY_2, SIGMA_Z)  # qubit a on the fast index
     sz_b = np.kron(SIGMA_Z, IDENTITY_2)
-    return 0.5 * (
-        p.omega_a * sz_a
-        + p.omega_b * sz_b
-        + math.pi * p.coupling_j * np.kron(SIGMA_Z, SIGMA_Z)
-    )
+    return 0.5 * (p.omega_a * sz_a + p.omega_b * sz_b + pj * np.kron(SIGMA_Z, SIGMA_Z))
 
 
 def effective_field_a(p: NmrParams, b_state: str) -> float:
@@ -105,15 +109,11 @@ def two_qubit_schedule(
     omega = as_float("omega", omega)
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    y_pulse = ControlSegment(axis=(0, 1, 0), omega=omega, duration=math.pi / (2 * omega))
+    y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, math.pi / (2 * omega))
     return ConditionalSchedule(
-        steps=(
-            y_pulse,
-            CouplingStep(duration=1.0 / (2.0 * p.coupling_j), coupling_j=p.coupling_j),
-            y_pulse,
-        ),
-        mode=mode,
-        label=f"conditional loop J={p.coupling_j:.12g}",
+        (y_pulse, CouplingStep(1.0 / (2.0 * p.coupling_j), p.coupling_j), y_pulse),
+        mode,
+        f"conditional loop J={p.coupling_j:.12g}",
     )
 
 
@@ -123,14 +123,18 @@ def two_qubit_unitary(sched: ConditionalSchedule) -> np.ndarray:
     The coupling step applies exp(-i pi J sigma_z tau), a z rotation by
     2 pi J tau, only on the b = up block; drive segments act on both blocks
     in natural mode and on the b = up block alone in line-selective mode.
-    The two 2x2 blocks come from one ``su2`` call and are assembled once.
+    The 2x2 propagators come from one ``su2`` call and are assembled once.
     """
     steps = su2(*drive_arrays(sched.steps))
-    natural = sched.mode == "natural"
-    on_down = [natural and isinstance(step, ControlSegment) for step in sched.steps]
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = ordered_product(steps)
-    u[2:, 2:] = ordered_product(steps[on_down])
+    if sched.mode == "natural":
+        drives = [
+            step for step, kind in zip(steps, sched.steps) if not isinstance(kind, CouplingStep)
+        ]
+        u[2:, 2:] = ordered_product(drives)
+    else:
+        u[2, 2] = u[3, 3] = 1.0
     return u
 
 
@@ -147,30 +151,35 @@ def controlled_u(chi: float, omega: float, omega2: float) -> np.ndarray:
     return line_selective_unitary(single_loop_schedule(chi, omega, omega2))
 
 
+_U2_NATURAL = np.array(
+    [
+        [-1j, 0, 0, 0],
+        [0, 1j, 0, 0],
+        [0, 0, 0, -1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
+_U2_LINE_SELECTIVE = np.array(
+    [
+        [-1j, 0, 0, 0],
+        [0, 1j, 0, 0],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ],
+    dtype=complex,
+)
+_U2_NATURAL.flags.writeable = _U2_LINE_SELECTIVE.flags.writeable = False
+
+
 def u2_natural() -> np.ndarray:
-    """Reference conditional gate of the natural-mode sequence."""
-    return np.array(
-        [
-            [-1j, 0, 0, 0],
-            [0, 1j, 0, 0],
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-        ],
-        dtype=complex,
-    )
+    """Reference conditional gate of the natural-mode sequence, a new array per call."""
+    return _U2_NATURAL.copy()
 
 
 def u2_line_selective() -> np.ndarray:
-    """Reference conditional phase gate of the line-selective sequence."""
-    return np.array(
-        [
-            [-1j, 0, 0, 0],
-            [0, 1j, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    """Reference conditional phase gate of the line-selective sequence, a new array per call."""
+    return _U2_LINE_SELECTIVE.copy()
 
 
 def controlled_u_reference(chi: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,28 @@ class TestCompareGates:
             pair[side][dim - 1, 0] = bad
             with pytest.raises(ValueError, match="^gate matrices must be finite"):
                 compare_gates(*pair)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_inf_at_one_place_in_both_raises_without_warning(self, dim):
+        # inf - inf warned before the ValueError, and an error filter made
+        # the warning the error.
+        u, v = np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)
+        u[dim - 1, 0] = v[dim - 1, 0] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^gate matrices must be finite"):
+                compare_gates(u, v)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("scale", [1e200, 1e200j])
+    def test_overflowing_products_raise_without_warning(self, dim, scale):
+        # Finite entries of 1e200 overflow in the products: matmul warned.
+        u = np.full((dim, dim), 1e200, dtype=complex)
+        v = np.full((dim, dim), scale, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="products that do not overflow"):
+                compare_gates(u, v)
 
     def test_report_bits_unchanged(self):
         # Reference arithmetic through the numpy functions the report was

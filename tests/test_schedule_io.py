@@ -175,6 +175,9 @@ class TestParseErrorPositions:
             ("duration", '"slow"', "field 'duration' must be a number"),
             ("axis", "[1, 0]", "field 'axis' must be a 3-element list"),
             ("axis", "[1, 1, 1]", "invalid segment"),
+            # A scalar where the axis list belongs, float or not.
+            ("axis", "1.5", "field 'axis' must be a 3-element list"),
+            ("axis", "true", "field 'axis' must be a 3-element list"),
             ("omega", "-1.0", "invalid segment: omega must be finite and >= 0"),
             ("colour", '"red"', "unknown field 'colour' in segment"),
             # Beyond the float range: float() of the integer overflows.

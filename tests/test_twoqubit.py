@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ class TestNmrHamiltonian:
         )
         assert np.max(np.abs(h - expected)) <= TOL
         assert np.max(np.abs(h - oracle)) <= TOL
+
+    @pytest.mark.parametrize(
+        "params",
+        [(1e308, 1e308, 1.0), (-1e308, 1e308, 1.0), (1e308, 0.0, 1e308), (0.0, 0.0, 1e308)],
+    )
+    def test_overflowing_entries_raise_without_warning(self, params):
+        # omega_a + omega_b overflowed with a RuntimeWarning, and pi * J = inf
+        # met the zeros of sz x sz.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                nmr_hamiltonian(NmrParams(*params))
+
+    def test_largest_finite_entries_are_kept(self):
+        wa, wb, j = 6e307, 6e307, 1e307
+        h = nmr_hamiltonian(NmrParams(wa, wb, j))
+        assert h[0, 0] == 0.5 * ((wa + wb) + math.pi * j)
+        assert h[3, 3] == 0.5 * ((-wa - wb) + math.pi * j)
 
     def test_commutes_with_local_z(self):
         h = nmr_hamiltonian(NmrParams(1.1, 2.2, 0.5))
