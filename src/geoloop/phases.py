@@ -226,7 +226,11 @@ def segment_endpoints(
     1), with the angles and the kind of matrix product that _fill_segments
     gives the segment's final block. So the entry points are, bit for bit,
     the rows on which a path of per_segment + 1 samples per segment ends
-    its segments.
+    its segments. The end rows' angles and their cos and sin come first,
+    for every segment at once; then, segment by segment, numpy's dot n.r,
+    the basis rows (n.r) n, r - (n.r) n and n x r, each written in place
+    into the returned array, and the end point, the last row of the
+    coefficients times that basis.
 
     Returns the points, shape (moving + 1, 3): each moving segment's entry
     point, then the end of the last one; and the bases, shape (moving, 3, 3).
@@ -246,14 +250,16 @@ def segment_endpoints(
     np.cos(theta, out=coeffs[..., 1])
     np.sin(theta, out=coeffs[..., 2])
     for k, seg in enumerate(segments):
-        r = points[k]
-        n = np.asarray(seg.axis)
-        along = (n @ r) * n
-        # n x r in np.cross's operations, without its per-call cost
+        r, basis = points[k], bases[k]
+        dot = float(np.asarray(seg.axis) @ r)  # numpy's dot, for its rounding
+        # The rows in Python floats: the IEEE operations of (n.r) n, r - (n.r) n
+        # and np.cross, without numpy's per-call cost.
         (nx, ny, nz), (x, y, z) = seg.axis, r.tolist()
-        cross = (ny * z - nz * y, nz * x - nx * z, nx * y - ny * x)
-        bases[k] = along, r - along, cross
-        points[k + 1] = (coeffs[k] @ bases[k])[-1]
+        ax, ay, az = dot * nx, dot * ny, dot * nz
+        basis[0] = ax, ay, az
+        basis[1] = x - ax, y - ay, z - az
+        basis[2] = ny * z - nz * y, nz * x - nx * z, nx * y - ny * x
+        points[k + 1] = (coeffs[k] @ basis)[-1]
     return points, bases
 
 
@@ -311,7 +317,7 @@ def _fill_segments(
 
 
 def _chain_phase(
-    chain: np.ndarray, first: int, south: bool, pairs: np.ndarray, buf: np.ndarray
+    w: np.ndarray, z: np.ndarray, first: int, south: bool, scratch: Sequence[np.ndarray]
 ):
     """Sum of arg <psi_k|psi_k+1> over the edges of a chain of points.
 
@@ -319,41 +325,40 @@ def _chain_phase(
     hemisphere: north, (1 + z, x + iy), where s = z_k + z_k+1 >= 0, and
     south, (x - iy, 1 - z), otherwise. The overlap is then real arithmetic,
     1 + |s| + r_k.r_k+1 (which is >= |s|) plus i (r_k x r_k+1)_z, the
-    imaginary part, and so the phase, negated in the south chart. Each
-    row's (x, y) is read as one complex w = x + iy, a view of the chain, so
-    one product conj(w_k) w_k+1 gives x_k x_k+1 + y_k y_k+1 as its real
-    part and (r_k x r_k+1)_z as its imaginary part. The south lift is
-    e^{-i phi} times the north lift (times a positive scale), so where
-    consecutive edges switch chart at a point k, phi_k = arg w_k is
-    subtracted (north to south) or added (south to north) to keep one lift
-    per point.
+    imaginary part negated in the south chart. Each point's (x, y) comes as
+    one complex w = x + iy, so one product conj(w_k) w_k+1 gives
+    x_k x_k+1 + y_k y_k+1 as its real part and (r_k x r_k+1)_z as its
+    imaginary part. The passes, each over the whole chain: that product;
+    z_k z_k+1 plus its real part, r_k.r_k+1, whose minimum is the overlap
+    check; s and its sign, the chart; 1 + |s| + r_k.r_k+1; the imaginary
+    part, copied contiguous and negated where the chart is south; one
+    arctan2 and one sum. The south lift is e^{-i phi} times the north lift
+    (times a positive scale), so at each point k where consecutive edges
+    switch chart, phi_k = arg w_k is subtracted (north to south) or added
+    (south to north) to keep one lift per point. The switches come from
+    comparing each edge's chart with the next one's, and at the chain's
+    first point with south, the chart of the edge entering it.
 
-    Each row of chain must hold its three coordinates contiguously, for
-    the complex view. first is the index of chain[0] in the path, for the
-    error message, and south the chart of the edge that enters chain[0].
-    pairs (complex) and buf (shape (2, ...)) are scratch space of at least
-    len(chain) - 1 columns. Returns the sum and the chart of the chain's
-    last edge.
+    w (complex) and z hold the chain's points, first the index of its
+    first point in the path, for the error message. scratch holds five
+    arrays of one entry per edge: a complex one, two floats and two bools.
+    Returns the sum and the chart of the chain's last edge.
     """
-    m = len(chain) - 1
-    w = chain[:, :2].view(complex)[:, 0]
-    z = chain[:, 2]
-    pair, (dot, re) = pairs[:m], buf[:, :m]
+    pair, dot, re, souths, switch = scratch
     np.conjugate(w[:-1], out=pair)
     pair *= w[1:]
     np.multiply(z[:-1], z[1:], out=dot)
     dot += pair.real
-    k = int(np.argmin(dot))
-    overlap = (1.0 + dot[k]) / 2
+    overlap = (1.0 + np.minimum.reduce(dot)) / 2
     if not overlap >= MIN_EDGE_OVERLAP:
-        k += first
+        k = int(np.argmin(dot)) + first
         raise ValueError(
             f"samples {k} and {k + 1} are nearly antipodal (edge {k} overlap "
             f"{overlap:.3g} < {MIN_EDGE_OVERLAP:g}): no unique geodesic joins "
             "them; sample the path more finely"
         )
     np.add(z[:-1], z[1:], out=re)
-    souths = re < 0
+    np.less(re, 0.0, out=souths)
     np.abs(re, out=re)
     re += 1.0
     re += dot
@@ -361,16 +366,17 @@ def _chain_phase(
     # view; the copy goes where the spent dot products were.
     phase = dot
     np.copyto(phase, pair.imag)
-    np.arctan2(phase, re, out=phase)  # each edge's phase in the north chart's sign
-    total = float(np.sum(phase)) - 2.0 * float(phase @ souths)
-    entering = np.empty_like(souths)  # the chart of the edge entering each point
-    entering[0] = south
-    entering[1:] = souths[:-1]
-    at = np.flatnonzero(entering != souths)
+    np.negative(phase, out=phase, where=souths)
+    np.arctan2(phase, re, out=phase)  # each edge's phase in its own chart
+    total = float(np.add.reduce(phase))
+    np.not_equal(souths[1:], souths[:-1], out=switch[1:])
+    switch[0] = souths.item(0) != south  # Python bools: no numpy scalars
+    (at,) = switch.nonzero()  # np.flatnonzero without its wrappers
     if at.size:
-        phi = np.angle(w[at])
-        total -= float(np.sum(np.where(souths[at], phi, -phi)))
-    return total, bool(souths[-1])
+        phi = np.arctan2(w.imag[at], w.real[at])  # np.angle
+        np.negative(phi, out=phi, where=souths[at])
+        total += float(np.add.reduce(phi))
+    return total, souths.item(-1)
 
 
 def solid_angle(path: BlochPath) -> float:
@@ -387,25 +393,36 @@ def solid_angle(path: BlochPath) -> float:
     MIN_EDGE_OVERLAP raises ValueError. A one-point path, the identity
     evolution's, is closed and encloses 0.
 
-    Each edge's overlap comes from one complex product per block of
-    PATH_BLOCK edges (see _chain_phase), on a view of the points without a
-    copy; points that are not C-contiguous are copied to that layout first.
+    The edges are summed in blocks of PATH_BLOCK, then the closing edge,
+    each block a fixed sequence of whole-block passes (see _chain_phase)
+    that starts with one complex product on a view of the points, without
+    a copy, and ends with one arctan2 and one sum; points that are not
+    C-contiguous are copied to that layout first. The complex view and the
+    scratch buffers are made once per call, and the chart of each block's
+    last edge is handed to the next block, so a chart switch on a block
+    boundary or at the closing edge is corrected once. The block sums are
+    added with fsum.
     """
     # Rows laid out (x, y, z), so that each (x, y) reads as one complex.
     pts = np.ascontiguousarray(path.points())
     if not len(pts) or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
         raise OpenPathError("path is not closed to within the closure tolerance")
-    # A column at least, for the closing edge.
-    pairs = np.empty(min(PATH_BLOCK, len(pts)), dtype=complex)
-    buf = np.empty((2, len(pairs)))
+    edges = len(pts) - 1
+    block = max(min(PATH_BLOCK, edges), 1)  # a column at least, for the closing edge
+    scratch = (
+        np.empty(block, dtype=complex), *np.empty((2, block)), *np.empty((2, block), dtype=bool)
+    )
     closing = pts[[-1, 0]]
     south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
+    w, z = pts[:, :2].view(complex)[:, 0], pts[:, 2]
     parts = []
-    for start in range(0, len(pts) - 1, PATH_BLOCK):
-        chain = pts[start:start + PATH_BLOCK + 1]
-        phase, south = _chain_phase(chain, start, south, pairs, buf)
+    for start in range(0, edges, PATH_BLOCK):
+        stop = min(start + PATH_BLOCK, edges)
+        part = scratch if stop - start == block else [a[:stop - start] for a in scratch]
+        phase, south = _chain_phase(w[start:stop + 1], z[start:stop + 1], start, south, part)
         parts.append(phase)
-    parts.append(_chain_phase(closing, len(pts) - 1, south, pairs, buf)[0])
+    w, z = closing[:, :2].view(complex)[:, 0], closing[:, 2]
+    parts.append(_chain_phase(w, z, edges, south, [a[:1] for a in scratch])[0])
     # fsum keeps the block sums' rounding from growing with the block count.
     # A single loop cannot enclose more than the sphere.
     return 2.0 * wrap_phase(math.fsum(parts))

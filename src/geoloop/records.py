@@ -141,6 +141,18 @@ def check_duration(omega: float, duration: float) -> float:
     raise InvalidFieldError("duration", message)
 
 
+def check_turn(field: str, omega: float, duration: float) -> float:
+    """duration, which a builder computed by dividing by the rate omega > 0.
+
+    Raises InvalidFieldError naming field, the argument that gave omega, if
+    the division overflowed: the caller passed omega, not the duration.
+    """
+    if duration == math.inf:
+        message = f"{field} = {omega!r} is too small: its turn's duration overflows"
+        raise InvalidFieldError(field, message)
+    return duration
+
+
 def check_coupling(coupling_j: float) -> None:
     """Require a finite coupling constant J > 0."""
     if not 0.0 < as_float("coupling_j", coupling_j) < math.inf:
@@ -188,7 +200,11 @@ class ControlSegment(_Record):
     duration: float
 
     def __init__(self, axis: tuple[float, float, float], omega: float, duration: float):
-        ax = tuple([c if type(c) is float else as_float("axis", c) for c in axis])
+        try:
+            ax = tuple([c if type(c) is float else as_float("axis", c) for c in axis])
+        except TypeError:  # not a sequence, or a component float() cannot take
+            message = f"axis must be a sequence of 3 numbers, got {axis!r}"
+            raise NonUnitAxisError("axis", message) from None
         if len(ax) != 3:
             raise NonUnitAxisError("axis", f"axis must have 3 components, got {len(ax)}")
         x, y, z = ax
@@ -294,17 +310,20 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
 
     Segments: z for pi/(2 omega), x for pi/omega2, z for pi/(2 omega),
     then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
-    legal zero-duration identity.
+    legal zero-duration identity. An omega or omega2 so small that a
+    duration overflows raises InvalidFieldError naming it.
     """
     check_chi(chi)
     omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
     if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
         raise ValueError("omega and omega2 must be finite and > 0")
-    z_turn = ControlSegment((0.0, 0.0, 1.0), omega, math.pi / (2 * omega))
+    quarter = check_turn("omega", omega, math.pi / (2 * omega))
+    half = check_turn("omega2", omega2, math.pi / omega2)
+    z_turn = ControlSegment((0.0, 0.0, 1.0), omega, quarter)
     return Schedule(
         (
             z_turn,
-            ControlSegment((1.0, 0.0, 0.0), omega2, math.pi / omega2),
+            ControlSegment((1.0, 0.0, 0.0), omega2, half),
             z_turn,
             ControlSegment((0.0, -1.0, 0.0), omega2, (math.pi - 2 * chi) / omega2),
         ),

@@ -20,6 +20,7 @@ from .records import (
     ConditionalSchedule,
     ControlSegment,
     CouplingStep,
+    InvalidCouplingError,
     Schedule,
     _Record,
     _setfield,
@@ -27,6 +28,7 @@ from .records import (
     as_float,
     check_chi,
     check_coupling,
+    check_turn,
     single_loop_schedule,
 )
 
@@ -86,6 +88,7 @@ def effective_field_a(p: NmrParams, b_state: str) -> float:
 
     c = omega_a - accessory + pi*J for b up, - pi*J for b down. With the
     matched accessory omega_a - pi*J this is 2*pi*J (up) and 0 (down).
+    Raises ValueError if c overflows the float range.
     """
     if p.accessory is None:
         raise MissingAccessoryError("NmrParams.accessory is not set")
@@ -95,7 +98,10 @@ def effective_field_a(p: NmrParams, b_state: str) -> float:
         sign = -1.0
     else:
         raise ValueError(f"b_state must be 'up' or 'down', got {b_state!r}")
-    return p.omega_a - p.accessory + sign * math.pi * p.coupling_j
+    c = p.omega_a - p.accessory + sign * math.pi * p.coupling_j
+    if not math.isfinite(c):  # Python floats overflow to inf without a warning
+        raise ValueError(f"effective field on qubit a overflows the float range for {p}")
+    return c
 
 
 def two_qubit_schedule(
@@ -103,17 +109,28 @@ def two_qubit_schedule(
 ) -> ConditionalSchedule:
     """y-pulse / coupling / y-pulse sandwich realizing the conditional gate.
 
-    Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega).
+    Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega). A J whose
+    interval 1/(2 J) or rate 2 pi J overflows raises InvalidCouplingError,
+    and an omega whose pulse duration overflows InvalidFieldError.
     """
-    check_coupling(p.coupling_j)  # before dividing by J
+    j = p.coupling_j
+    check_coupling(j)  # before dividing by J
+    interval = 1.0 / (2.0 * j)
+    if interval == math.inf:  # a subnormal J
+        message = f"coupling interval 1/(2 J) overflows for coupling_j = {j!r}"
+        raise InvalidCouplingError("coupling_j", message)
+    if 2.0 * math.pi * j == math.inf:  # CouplingStep.omega
+        message = f"coupling rate 2 pi J overflows for coupling_j = {j!r}"
+        raise InvalidCouplingError("coupling_j", message)
     omega = as_float("omega", omega)
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, math.pi / (2 * omega))
+    pulse = check_turn("omega", omega, math.pi / (2 * omega))
+    y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, pulse)
     return ConditionalSchedule(
-        (y_pulse, CouplingStep(1.0 / (2.0 * p.coupling_j), p.coupling_j), y_pulse),
+        (y_pulse, CouplingStep(interval, j), y_pulse),
         mode,
-        f"conditional loop J={p.coupling_j:.12g}",
+        f"conditional loop J={j:.12g}",
     )
 
 

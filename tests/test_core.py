@@ -197,6 +197,12 @@ class TestSegmentUnitary:
         with pytest.raises(NonUnitAxisError):
             ControlSegment(axis=(1, 1, 0), omega=1.0, duration=1.0)
 
+    @pytest.mark.parametrize("axis", [math.nan, True, 1.0, None, (None, 0.0, 1.0)])
+    def test_names_an_axis_that_is_not_a_sequence_of_numbers(self, axis):
+        # These raised TypeError from tuple() or float().
+        with pytest.raises(NonUnitAxisError, match="^axis must be a sequence of 3 numbers"):
+            ControlSegment(axis=axis, omega=1.0, duration=1.0)
+
     def test_rejects_negative_omega(self):
         with pytest.raises(ValueError):
             ControlSegment(axis=(0, 0, 1), omega=-1.0, duration=1.0)

@@ -105,6 +105,14 @@ class TestSingleLoopSchedule:
         with pytest.raises(ValueError, match="omega and omega2 must be finite and > 0"):
             single_loop_schedule(0.4, *freqs)
 
+    @pytest.mark.parametrize("field", ["omega", "omega2"])
+    def test_names_a_frequency_whose_duration_overflows(self, field):
+        # pi / (2 * 1e-310) overflows; the caller passed no duration.
+        args = {"chi": 0.3, "omega": 1.0, "omega2": 1.0, field: 1e-310}
+        with pytest.raises(InvalidFieldError, match=f"^{field} = 1e-310 is too small") as exc:
+            single_loop_schedule(**args)
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401-digit", "5001-digit"])
     @pytest.mark.parametrize("field", ["chi", "omega", "omega2"])
     def test_names_a_number_beyond_the_float_range(self, field, huge):

@@ -161,6 +161,69 @@ def pinned_path_cases():
         yield Schedule(segments=tuple(segments)), state, samples
 
 
+# solid_angle of every pinned_path_cases() path (closed by repeating its
+# first point when it does not close), recorded before the edge sum folded
+# the south chart's sign into the imaginary parts; None where an edge is
+# nearly antipodal. Omega is not bit-pinned: a new summation order may move
+# it by a few ulps, so test_omega_matches_recorded_values allows 1e-14.
+PINNED_PATH_OMEGA = [
+    None, 3.141592653589793, 3.141592653589793, 3.141592653589793,
+    3.141592653589793, None, 3.141592653589793, 3.141592653589793,
+    3.141592653589793, 3.141592653589793, None, 3.141592653589793,
+    3.141592653589793, 3.141592653589793, 3.141592653589793, None,
+    3.141592653589793, 3.141592653589793, 3.141592653589793, 3.141592653589793,
+    None, 3.141592653589793, 3.141592653589793, 3.141592653589793,
+    3.141592653589793, None, 3.141592653589793, 3.141592653589793,
+    3.141592653589793, 3.141592653589793, None, 3.141592653589793,
+    3.141592653589793, 3.141592653589793, 3.141592653589793, None,
+    3.1415926535897922, 3.1415926535897922, 3.1415926535897927, 3.141592653589794,
+    None, 3.1415926535897922, 3.1415926535897927, 3.1415926535897896,
+    3.14159265358979, None, 3.141592653589792, 3.1415926535897936,
+    3.141592653589788, 3.1415926535897905, None, 3.1415926535897927,
+    3.141592653589793, 3.1415926535897927, 3.1415926535897936, None,
+    3.1415926535897922, 3.141592653589794, 3.141592653589791, 3.141592653589791,
+    -1.7543998964690737e-18, -0.08392237420010194, 6.946012662887034e-16, -0.06661021830317582,
+    0.054439933136831264, 0.25382456622649685, 0.1440013733843155, 0.0013705654235610862,
+    5.1252788411535677e-17, 0.0, -0.5539695382638944, -1.3214687913488792,
+    3.2408080438122404, -2.833725605822256, 0.0001346499711282166, -3.5006409833671697,
+    -1.2001520127309235, 1.508825339417931, -0.24909690621065633, -1.7184102938488242,
+    1.811890350357785e-17, -1.7265881328825313e-16, 0.051610214001349033, 0.0,
+    0.0, 7.530021954992445e-17, 0.0, -3.349274981413095,
+    -1.0135778733969449e-17, -1.1051260841382167, 4.893574659197302, 1.2011520723230955,
+    -1.4022043656895383e-16, 0.0, -1.3318283318279418, -0.41146407952533814,
+    0.10698901443997097, -2.530964622287681e-16, -0.0002616757390876273, -0.01898737797427144,
+    0.9039098885468242, 0.25378961221432966, -0.1641349965137724, -0.2601670261251501,
+    0.008319663307246108, 0.8000121681798107, -1.5459157051875652, 0.05252342962303153,
+    0.0, 0.5527805770835933, 0.6603612231928215, -0.2986504045581181,
+    -2.8178797722877325, 0.11298555287754034, 0.02545500478384484, -3.197770528432816,
+    3.4590762793826784, -5.832758594501978, -0.44396475714726086, -0.018577552526640367,
+    -0.05456209751934871, 5.67062317417866, 0.27681805558764294, 0.0,
+    0.22894816349382946, 0.16828598088589675, -0.6117805465089117, 0.727975435143478,
+    0.433721941833219, 1.2137396587712061e-05, -0.00029499623210221815, -0.33463373398272334,
+    0.6906345576769786, 3.4974831860546836, -1.6137923219371415, 3.1686223326556378,
+    4.171593712223537, 0.02604537519724935, 0.08390569568836964, -1.0460841036772126,
+    0.029042393871771113, -1.6468473462962465, -0.12896345150309307, 0.6196494646988981,
+    -3.162033557011614, -1.1518017465720312, 0.02660071932433067, -0.37993491857766504,
+    -0.2428550797627636, 0.010920593421864758, 0.00013140307919467034, 0.03474806025746208,
+    0.33241603398841424, 0.24068481304822598, -6.079426537909053, -0.0146221193257429,
+    0.0021267257852200516, 0.0, -0.4679373952977449, 0.0,
+    0.0, -1.6756077823384385, 0.0017335535227264508, -0.04002967099634161,
+    2.930905871631272, -0.009620338813747159, 0.0, 2.87641484728809,
+    -0.7669625170498966, 0.0039885996887724096, 0.022991003600913773, 0.024716247217069706,
+    0.0, -0.000857546390879713, -0.592293170946905, 0.9246547941556189,
+    0.002868332641482285, -0.023960409202051013, -1.9340359095319108, 1.16414419303022e-05,
+]
+
+
+def closed_path(path):
+    """path, with its first point repeated at the end if it does not close."""
+    pts = path.points()
+    if np.max(np.abs(pts[0] - pts[-1])) <= phases.PATH_CLOSURE_TOL:
+        return path
+    pts = np.vstack([pts, pts[:1]])
+    return BlochPath(t=np.arange(len(pts), dtype=float), r=pts)
+
+
 class TestIsCyclic:
     def test_empty_schedule(self):
         assert is_cyclic(Schedule(), state_from_angles(1.0, 0.5))
@@ -544,6 +607,16 @@ class TestSolidAngle:
         assert not other.points().flags.c_contiguous
         assert solid_angle(other) == solid_angle(path)
 
+    def test_omega_matches_recorded_values(self):
+        cases = zip(pinned_path_cases(), PINNED_PATH_OMEGA, strict=True)
+        for (sched, state, samples), expected in cases:
+            path = closed_path(sample_path(sched, state, samples))
+            if expected is None:
+                with pytest.raises(ValueError, match="antipodal"):
+                    solid_angle(path)
+            else:
+                assert abs(solid_angle(path) - expected) <= 1e-14
+
     @pytest.mark.parametrize("chi", CHI_GRID)
     def test_aa_relation(self, chi):
         sched, state = loop_and_state(chi)
@@ -616,6 +689,18 @@ def zigzag_path(flips, n):
     points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     points[-1] = points[0]
     return BlochPath(t=np.arange(n, dtype=float), r=points)
+
+
+def latitude_loop(z):
+    """A closed path once around the z axis through the latitudes z, the
+    last sample repeating the first. Longitudes start at 0.3, so that no
+    sample has arg(x + iy) = 0 and every chart switch moves the sum."""
+    z = np.append(z, z[0])
+    phi = np.linspace(0.3, 0.3 + 2 * math.pi, len(z))
+    rho = np.sqrt(1 - z * z)
+    points = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    points[-1] = points[0]
+    return BlochPath(t=np.arange(len(z), dtype=float), r=points)
 
 
 @st.composite
@@ -731,6 +816,29 @@ class TestSolidAngleCharts:
         path = zigzag_path(list(range(3, 4000, 5)), 4001)
         assert len(chart_turns(path.points())) >= 700
         assert area_gap(solid_angle(path), complex_lift_area(path.points())) <= 1e-12
+
+    @pytest.mark.parametrize("closing", ["between north edges", "after a south edge"])
+    def test_switches_on_block_ends_and_the_closing_edge(self, monkeypatch, closing):
+        # An edge from z = 0.5 to z = -0.5 has s = 0 and lies in the north
+        # chart. Sample 0 sits at z = -0.5 and sample 1 at 0.5, so the
+        # closing edge is south and edge 0 north: a switch at sample 0 that
+        # only the entering chart of the first block shows. Edge 4095 is
+        # north and edge 4096 south: a switch at the first sample of a
+        # 4096-edge block. With z = 0.5 at sample 8191, edges 8190 and 8191
+        # are north too, and the last sample, where the closing chain
+        # starts, switches to the closing edge's south chart.
+        z = np.full(8192, -0.5)
+        z[1:4096] = 0.5
+        if closing == "between north edges":
+            z[8191] = 0.5
+        path = latitude_loop(z)
+        turns = set(chart_turns(path.points()).tolist())
+        assert {0, 4096} <= turns
+        assert (8192 in turns) == (closing == "between north edges")
+        expected = complex_lift_area(path.points())
+        for block in [1, 2, 3, 4095, 4096, 4097, 8191, 8192, 8193]:
+            monkeypatch.setattr(phases, "PATH_BLOCK", block)
+            assert area_gap(solid_angle(path), expected) <= 1e-12
 
     @pytest.mark.parametrize("tilt", [0.0, 0.5, 2.0])
     def test_loop_within_1e9_of_south_pole(self, tilt):

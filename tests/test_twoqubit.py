@@ -126,6 +126,25 @@ class TestEffectiveFieldA:
         with pytest.raises(ValueError):
             effective_field_a(PARAMS, "sideways")
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # omega_a - accessory overflows, in Python floats and so with no warning
+            NmrParams(1e308, 0.0, 1.0, accessory=-1e308),
+            NmrParams(-1e308, 0.0, 1.0, accessory=1e308),
+            # pi * J overflows
+            NmrParams(1.0, 0.0, 1e308, accessory=1.0),
+        ],
+    )
+    @pytest.mark.parametrize("b_state", ["up", "down"])
+    def test_overflowing_coefficient_raises(self, params, b_state):
+        with pytest.raises(ValueError, match="effective field"):
+            effective_field_a(params, b_state)
+
+    def test_largest_finite_coefficient_is_kept(self):
+        p = NmrParams(1e308, 0.0, 0.0, accessory=-7e307)
+        assert effective_field_a(p, "up") == 1e308 + 7e307
+
 
 class TestTwoQubitSchedule:
     def test_step_durations(self):
@@ -161,6 +180,24 @@ class TestTwoQubitSchedule:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             two_qubit_schedule(-1.0, PARAMS)
+
+    def test_names_j_whose_interval_overflows(self):
+        # 1/(2 J) overflows for a subnormal J; the caller passed no duration.
+        with pytest.raises(InvalidCouplingError, match="coupling interval") as exc:
+            two_qubit_schedule(1.0, NmrParams(1.0, 1.0, 1e-310))
+        assert exc.value.field == "coupling_j"
+
+    @pytest.mark.parametrize("j", [1e308, 5e307])
+    def test_names_j_whose_rate_overflows(self, j):
+        # 2 pi J, the coupling step's rotation rate, overflows.
+        with pytest.raises(InvalidCouplingError, match="coupling rate") as exc:
+            two_qubit_schedule(1.0, NmrParams(1.0, 1.0, j))
+        assert exc.value.field == "coupling_j"
+
+    def test_names_omega_whose_pulse_overflows(self):
+        with pytest.raises(InvalidFieldError, match="^omega = 1e-310 is too small") as exc:
+            two_qubit_schedule(1e-310, PARAMS)
+        assert exc.value.field == "omega"
 
     def test_names_omega_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="^omega is an integer beyond") as exc:
