@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import drive_arrays, ordered_product, su2, unitarity_defect
+from .core import IDENTITY_2, drive_arrays, su2, unitarity_defect
 from .records import (
     ControlSegment,
     InvalidFieldError,
@@ -265,6 +265,32 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
         yield slice(start, stop), draws
 
 
+def _block_product(steps: np.ndarray, z_axis: list[bool]) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0] over a block, equal in value to ``ordered_product``.
+
+    steps has shape (segments, trials, 2, 2); z_axis[k] says segment k's
+    axis has x and y exactly zero, so its steps are diagonal. Such a step
+    scales the rows of the running product, and while the running product
+    is itself diagonal, its diagonal scales the columns of the next step.
+    Every entry of a product with a diagonal factor has a single nonzero
+    term, so matmul adds only exact zeros to it: the elementwise forms give
+    the same values, up to the sign of a zero entry. Other steps keep
+    matmul, whose sums the elementwise forms would not reproduce bit for bit.
+    """
+    if len(steps) == 0:
+        return IDENTITY_2.copy()
+    u, diagonal = steps[0], z_axis[0]
+    for step, z_step in zip(steps[1:], z_axis[1:]):
+        if z_step:
+            u = np.diagonal(step, axis1=-2, axis2=-1)[..., None] * u
+        elif diagonal:
+            u = step * np.diagonal(u, axis1=-2, axis2=-1)[..., None, :]
+        else:
+            u = step @ u
+        diagonal = diagonal and z_step
+    return u
+
+
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
@@ -274,10 +300,14 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     its streams are hashed in batches rather than by one SeedSequence per
     trial. Trials are propagated in blocks: one ``su2`` call per block over
     its (trials, segments) angles, then one product step per segment across
-    the block's trials. With both sigmas zero every trial propagates the
-    unperturbed schedule, so the sweep propagates trial 0 alone and repeats
-    its fidelity; the fidelities and their statistics are the same, bit for
-    bit, as if every trial ran.
+    the block's trials. A segment whose axis has x and y exactly zero (a z
+    rotation) has diagonal steps, applied as diagonal scalings rather than
+    2x2 matmuls: with a diagonal factor each entry of a product has a
+    single nonzero term, so the product has the values of
+    ``core.ordered_product`` and the fidelities its bits. With both sigmas
+    zero every trial propagates the unperturbed schedule, so the sweep
+    propagates trial 0 alone and repeats its fidelity; the fidelities and
+    their statistics are the same, bit for bit, as if every trial ran.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
@@ -291,6 +321,7 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
         )
     target_dag = target.conj().T
     axes, _ = drive_arrays(sched.segments)
+    z_axis = ((axes[:, 0] == 0.0) & (axes[:, 1] == 0.0)).tolist()
     nominal = _nominal_drives(sched)
     noisy = _noisy(spec)
     fidelities = np.empty(spec.trials if noisy else 1)
@@ -298,7 +329,7 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
         omega, tau = _perturbed_drives(*nominal, spec, draws)
         # Segment-major, so each product step multiplies the whole block.
         steps = su2(axes, omega * tau).swapaxes(0, 1)
-        product = target_dag @ ordered_product(steps)
+        product = target_dag @ _block_product(steps, z_axis)
         # The trace, read off the diagonal: np.trace gives the same bits slower.
         fidelities[block] = np.abs(product[..., 0, 0] + product[..., 1, 1]) / 2
     if not noisy:

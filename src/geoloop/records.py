@@ -154,10 +154,15 @@ def check_turn(field: str, omega: float, duration: float) -> float:
 
 
 def check_coupling(coupling_j: float) -> None:
-    """Require a finite coupling constant J > 0."""
-    if not 0.0 < as_float("coupling_j", coupling_j) < math.inf:
+    """Require a finite coupling constant J > 0 whose rate 2 pi J is finite."""
+    j = as_float("coupling_j", coupling_j)
+    if not 0.0 < j < math.inf:
         message = f"coupling_j must be finite and > 0, got {coupling_j}"
-        raise InvalidCouplingError("coupling_j", message)
+    elif 2.0 * math.pi * j == math.inf:  # CouplingStep.omega
+        message = f"coupling rate 2 pi J overflows for coupling_j = {j!r}"
+    else:
+        return
+    raise InvalidCouplingError("coupling_j", message)
 
 
 def _entries(field: str, entries, kinds: tuple) -> tuple:
@@ -308,7 +313,7 @@ def check_chi(chi: float) -> None:
 def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     """Four-segment loop realizing the geometric gate u_chi(chi).
 
-    Segments: z for pi/(2 omega), x for pi/omega2, z for pi/(2 omega),
+    Segments: z for pi/2/omega, x for pi/omega2, z for pi/2/omega,
     then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
     legal zero-duration identity. An omega or omega2 so small that a
     duration overflows raises InvalidFieldError naming it.
@@ -317,7 +322,7 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
     if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
         raise ValueError("omega and omega2 must be finite and > 0")
-    quarter = check_turn("omega", omega, math.pi / (2 * omega))
+    quarter = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
     half = check_turn("omega2", omega2, math.pi / omega2)
     z_turn = ControlSegment((0.0, 0.0, 1.0), omega, quarter)
     return Schedule(

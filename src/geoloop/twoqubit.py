@@ -109,7 +109,7 @@ def two_qubit_schedule(
 ) -> ConditionalSchedule:
     """y-pulse / coupling / y-pulse sandwich realizing the conditional gate.
 
-    Step durations are pi/(2 omega), 1/(2 J), pi/(2 omega). A J whose
+    Step durations are pi/2/omega, 1/(2 J), pi/2/omega. A J whose
     interval 1/(2 J) or rate 2 pi J overflows raises InvalidCouplingError,
     and an omega whose pulse duration overflows InvalidFieldError.
     """
@@ -119,13 +119,10 @@ def two_qubit_schedule(
     if interval == math.inf:  # a subnormal J
         message = f"coupling interval 1/(2 J) overflows for coupling_j = {j!r}"
         raise InvalidCouplingError("coupling_j", message)
-    if 2.0 * math.pi * j == math.inf:  # CouplingStep.omega
-        message = f"coupling rate 2 pi J overflows for coupling_j = {j!r}"
-        raise InvalidCouplingError("coupling_j", message)
     omega = as_float("omega", omega)
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    pulse = check_turn("omega", omega, math.pi / (2 * omega))
+    pulse = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
     y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, pulse)
     return ConditionalSchedule(
         (y_pulse, CouplingStep(interval, j), y_pulse),

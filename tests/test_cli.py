@@ -457,6 +457,11 @@ GOLDEN_STDOUT = {
         "2e0a675eb1613b09bdfc23eb4edfbed9944625f105dc6362c076f4502d8f64f7",
     "export-path loop.json --chi pi/4 --samples 50 --out path.csv":
         "18138a12beba462ef02ae33fd1b0d5f5a9c2437f4dcc5bf912767e90d3b8ce54",
+    # 600 trials span two TRIAL_BLOCK blocks; recorded before z steps were
+    # applied as diagonal scalings.
+    "noise loop.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
+    " --trials 600 --seed 7":
+        "772f1fae432a277de09918c5b0612b7c00c0d3ab63270a93288f643f814d2f71",
 }
 
 GOLDEN_FILES = {

@@ -107,11 +107,17 @@ class TestSingleLoopSchedule:
 
     @pytest.mark.parametrize("field", ["omega", "omega2"])
     def test_names_a_frequency_whose_duration_overflows(self, field):
-        # pi / (2 * 1e-310) overflows; the caller passed no duration.
+        # pi / 2 / 1e-310 overflows; the caller passed no duration.
         args = {"chi": 0.3, "omega": 1.0, "omega2": 1.0, field: 1e-310}
         with pytest.raises(InvalidFieldError, match=f"^{field} = 1e-310 is too small") as exc:
             single_loop_schedule(**args)
         assert exc.value.field == field
+
+    def test_keeps_its_quarter_turns_at_huge_rates(self):
+        # 2 * 1e308 overflows: pi / (2 * omega) would give z turns of duration 0.
+        sched = single_loop_schedule(0.3, 1e308, 1.0)
+        assert all(seg.duration > 0 for seg in sched)
+        assert np.max(np.abs(schedule_unitary(sched) - u_chi(0.3))) <= TOL
 
     @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401-digit", "5001-digit"])
     @pytest.mark.parametrize("field", ["chi", "omega", "omega2"])

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geoloop.core import ControlSegment, Schedule, schedule_unitary
+from geoloop import noise
+from geoloop.core import ControlSegment, Schedule, ordered_product, schedule_unitary, su2
 from geoloop.gates import single_loop_schedule, u_chi
 from geoloop.noise import (
     TRIAL_BLOCK,
     NoiseSpec,
     _block_draws,
+    _block_product,
     _nominal_drives,
     _perturbed_drives,
     _seed_words,
@@ -291,6 +293,56 @@ class TestBatchedSeeding:
             for seg, (eps, delta) in zip(LOOP, draws)
         ]
         assert [(s.omega, s.duration) for s in got] == expected
+
+
+# (axis, duration) of the segment kinds the block product must handle: z
+# rotations either way, with a -0.0 component and of zero duration, and
+# axes that are not z, one of them only 1e-9 off it.
+PRODUCT_SEGMENTS = [
+    ((0.0, 0.0, 1.0), 0.9),
+    ((0.0, 0.0, -1.0), 1.3),
+    ((-0.0, 0.0, 1.0), 0.7),
+    ((0.0, 0.0, 1.0), 0.0),
+    ((1.0, 0.0, 0.0), 1.1),
+    ((0.6, 0.0, 0.8), 0.4),
+    ((1e-9, 0.0, 1.0), 0.8),
+]
+
+
+def product_schedules(max_segments):
+    """Every schedule of up to max_segments PRODUCT_SEGMENTS kinds, in every order."""
+    for n in range(max_segments + 1):
+        for combo in itertools.product(PRODUCT_SEGMENTS, repeat=n):
+            yield Schedule(segments=tuple(ControlSegment(a, 2.0, t) for a, t in combo))
+
+
+class TestBlockProduct:
+    """z steps are applied as diagonal scalings, with the values of ordered_product."""
+
+    def test_equals_ordered_product(self):
+        draws = np.random.default_rng(8).standard_normal((40, 4))
+        for sched in product_schedules(4):
+            axes = np.array([seg.axis for seg in sched]).reshape(-1, 3)
+            theta = np.array([seg.omega * seg.duration for seg in sched])
+            steps = su2(axes, theta * (1.0 + 0.3 * draws[:, : len(sched)])).swapaxes(0, 1)
+            z_axis = [seg.axis[:2] == (0.0, 0.0) for seg in sched]
+            got = _block_product(steps, z_axis)
+            # == rather than bits: a zero entry's sign may differ.
+            assert (got == ordered_product(steps)).all(), sched
+
+    def test_sweep_bits_match_ordered_product(self, monkeypatch):
+        spec = NoiseSpec(sigma_omega=0.05, sigma_tau=0.02, trials=12, seed=6)
+        target = u_chi(0.3)
+        schedules = list(product_schedules(3))
+
+        def bits(sched):
+            result = fidelity_sweep(sched, target, spec)
+            values = result.fidelities + (result.mean, result.minimum, result.std)
+            return [value.hex() for value in values]
+
+        got = [bits(sched) for sched in schedules]
+        monkeypatch.setattr(noise, "_block_product", lambda steps, _: ordered_product(steps))
+        assert got == [bits(sched) for sched in schedules]
 
 
 # Schedules of the pinned sweep grid: paper loops, a loop with other axes

@@ -194,6 +194,12 @@ class TestTwoQubitSchedule:
             two_qubit_schedule(1.0, NmrParams(1.0, 1.0, j))
         assert exc.value.field == "coupling_j"
 
+    def test_keeps_its_pulses_at_huge_rates(self):
+        # 2 * 1e308 overflows: pi / (2 * omega) would give y pulses of duration 0.
+        sched = two_qubit_schedule(1e308, NmrParams(5.0, 3.0, 0.8).with_matched_accessory())
+        assert all(step.duration > 0 for step in sched.steps)
+        assert compare_gates(two_qubit_unitary(sched), u2_natural()).max_entry_deviation <= TOL
+
     def test_names_omega_whose_pulse_overflows(self):
         with pytest.raises(InvalidFieldError, match="^omega = 1e-310 is too small") as exc:
             two_qubit_schedule(1e-310, PARAMS)
@@ -392,7 +398,8 @@ def test_coupling_step_rejects_non_finite(bad):
         (lambda: CouplingStep(duration=-1.0, coupling_j=1.0), "duration"),
         # finite values whose angle 2 pi J * duration overflows
         (lambda: CouplingStep(duration=1e200, coupling_j=1e200), "duration"),
-        (lambda: CouplingStep(duration=0.0, coupling_j=1e308), "duration"),
+        # 2 pi J itself overflows: the field is J's, whatever the duration
+        (lambda: CouplingStep(duration=0.0, coupling_j=1e308), "coupling_j"),
         (lambda: ConditionalSchedule(steps=(), mode="sideways"), "mode"),
         # integers beyond the float range, which float() overflows on
         pytest.param(lambda: CouplingStep(duration=10**400, coupling_j=1.0), "duration",
