@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import re
 import sys
 
@@ -257,5 +258,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: main(), then exit once stdout and stderr are flushed.
+
+    os._exit skips interpreter teardown (module cleanup, the final garbage
+    collection and atexit hooks), which a command that loads numpy would
+    otherwise spend after its output is written. Every file a command writes
+    is closed before main() returns. If a flush fails, sys.exit lets teardown
+    report the failure as a plain sys.exit(main()) would.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -36,7 +36,10 @@ class QubitState(_Record):
     amp_down: complex
 
     def __init__(self, amp_up: complex, amp_down: complex):
-        norm = abs(amp_up) ** 2 + abs(amp_down) ** 2
+        try:
+            norm = abs(amp_up) ** 2 + abs(amp_down) ** 2
+        except OverflowError:  # a float square above 1.8e308
+            norm = math.inf
         if not abs(norm - 1.0) <= STATE_INPUT_TOL:  # NaN-safe
             raise NonNormalizedStateError(
                 f"|amp_up|^2 + |amp_down|^2 = {norm!r}, expected 1"

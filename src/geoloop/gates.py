@@ -107,7 +107,15 @@ def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
 
 
 def commutator_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius norm of uv - vu."""
+    """Frobenius norm of uv - vu.
+
+    A matrix with an infinite or NaN entry, or a pair whose products
+    overflow, raises ValueError.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    return float(np.linalg.norm(u @ v - v @ u, ord="fro"))
+    with np.errstate(all="ignore"):
+        norm = float(np.linalg.norm(u @ v - v @ u, ord="fro"))
+    if math.isfinite(norm):
+        return norm
+    raise ValueError("gate matrices must be finite, with products that do not overflow")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import geoloop
-from geoloop.cli import main, parse_angle
+from geoloop.cli import main, parse_angle, run
 from geoloop.schedule_io import load_schedule, save_schedule, serialize_schedule
 from geoloop.twoqubit import NmrParams, two_qubit_schedule
 
@@ -379,13 +380,23 @@ def test_cli_import_does_not_load_numpy_random():
 
 
 # Runs `python -m geoloop.cli ARGS` in this process, then prints the names of
-# the loaded modules as the last line of stdout.
+# the loaded modules as the last line of stdout. A command that returns ends
+# in os._exit, which skips the finally block, so the probe prints from a
+# wrapped os._exit; a command that raises (SystemExit included) prints from
+# the finally block.
 CLI_PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
+def print_modules():
+    print(json.dumps(sorted(sys.modules)))
+def print_modules_and_exit(code, _exit=os._exit):
+    print_modules()
+    sys.stdout.flush()
+    _exit(code)
+os._exit = print_modules_and_exit
 try:
     runpy.run_module("geoloop.cli", run_name="__main__")
 finally:
-    print(json.dumps(sorted(sys.modules)))
+    print_modules()
 """
 
 
@@ -440,6 +451,71 @@ def test_commands_load_only_what_they_compute(tmp_path, argv, unused):
     assert (rc, err) == (0, "")
     assert "numpy" in modules
     assert not unused & modules
+
+
+PROCESS_CASES = {
+    # argv -> (exit code, stdout lines); run in a directory holding loop.json
+    # (the paper loop at chi = pi/4) and bad.json (that file with an unknown key)
+    "synthesize --chi pi/3 --omega 1.25 --omega2 0.75 --out new.json": (0, 1),
+    "verify loop.json --target u_chi:pi/4": (0, 3),
+    "verify loop.json --target u_chi:0": (1, 3),
+    "verify loop.json --target controlled_u:pi/4": (0, 3),
+    "phase loop.json --chi pi/4": (0, 3),
+    "phase loop.json --chi 0": (1, 0),
+    "export-path loop.json --chi pi/4 --samples 50 --out path.csv": (0, 1),
+    # the header, 2000 trial rows and three summary rows: a lost flush shows
+    "noise loop.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
+    " --trials 2000 --seed 7": (0, 2004),
+    "verify bad.json --target u_chi:pi/4": (2, 0),
+    "verify loop.json": (2, 0),
+}
+
+
+@pytest.mark.parametrize("argv", PROCESS_CASES)
+def test_process_matches_main(tmp_path, monkeypatch, capsys, argv):
+    # `python -m geoloop.cli` ends in os._exit: it must exit, print and write
+    # what main() does in process. Without PYTHONUNBUFFERED, stdout to a pipe
+    # is block-buffered, so output that is never flushed goes missing.
+    monkeypatch.chdir(tmp_path)
+    assert main("synthesize --chi pi/4 --omega 1.0 --omega2 1.0 --out loop.json"
+                .split()) == 0
+    text = Path("loop.json").read_text()
+    Path("bad.json").write_text(text.replace('"label"', '"colour": "red", "label"'))
+    before = set(os.listdir())
+    env = {**os.environ, "PYTHONPATH": str(Path(geoloop.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "geoloop.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    written = {name: Path(name).read_bytes() for name in set(os.listdir()) - before}
+    for name in written:
+        os.remove(name)
+    capsys.readouterr()
+    try:
+        rc = main(argv.split())
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, captured.out, captured.err)
+    assert (rc, len(captured.out.splitlines())) == PROCESS_CASES[argv]
+    assert written == {name: Path(name).read_bytes() for name in set(os.listdir()) - before}
+
+
+def test_run_leaves_through_sys_exit_when_a_flush_fails(monkeypatch):
+    # Interpreter teardown then flushes again and reports the failure, as it
+    # does for a plain sys.exit(main()).
+    class BrokenPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) after a failed flush")
+
+    monkeypatch.setattr("geoloop.cli.main", lambda: 1)
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    monkeypatch.setattr(os, "_exit", no_exit)
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 1
 
 
 GOLDEN_STDOUT = {

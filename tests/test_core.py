@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestBlochVector:
     def test_rejects_non_finite_amplitude(self, amp):
         with pytest.raises(NonNormalizedStateError):
             QubitState(amp, 0)
+
+    @pytest.mark.parametrize("amps", [(1e200, 1e200), (1e200, 0), (0, -1e200j),
+                                      (complex(1e200, 1e200), 0)])
+    def test_rejects_overflowing_amplitude(self, amps):
+        # abs(amp) ** 2 of a Python number raised OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonNormalizedStateError, match="= inf, expected 1"):
+                QubitState(*amps)
+            with pytest.raises(NonNormalizedStateError, match="= inf, expected 1"):
+                propagate(Schedule(), QubitState(*amps))
 
 
 class TestSegmentUnitary:

@@ -256,3 +256,16 @@ class TestCommutatorNorm:
             a, b = rng.uniform(-math.pi, math.pi, size=2)
             got = commutator_norm(u_chi(a), u_chi(b))
             assert abs(got - 2 * math.sqrt(2) * abs(math.sin(a - b))) <= TOL
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200])
+    def test_non_finite_or_overflowing_raises_without_warning(self, bad):
+        # An infinite entry warned "invalid value encountered in matmul",
+        # and an error filter made the warning the error.
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^gate matrices must be finite"):
+                commutator_norm(u, u_chi(0.3))
+            with pytest.raises(ValueError, match="^gate matrices must be finite"):
+                commutator_norm(u_chi(0.3), u)
