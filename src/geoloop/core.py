@@ -36,9 +36,14 @@ class QubitState(_Record):
     amp_down: complex
 
     def __init__(self, amp_up: complex, amp_down: complex):
+        if isinstance(amp_up, str) or isinstance(amp_down, str):
+            raise TypeError("amplitudes must be numbers, not text")  # complex() parses text
         try:
+            # As Python numbers a square above 1.8e308 raises OverflowError,
+            # as does an integer beyond the float range; numpy's would warn.
+            amp_up, amp_down = complex(amp_up), complex(amp_down)
             norm = abs(amp_up) ** 2 + abs(amp_down) ** 2
-        except OverflowError:  # a float square above 1.8e308
+        except OverflowError:
             norm = math.inf
         if not abs(norm - 1.0) <= STATE_INPUT_TOL:  # NaN-safe
             raise NonNormalizedStateError(
@@ -46,8 +51,8 @@ class QubitState(_Record):
             )
         # Renormalize the residual so downstream algebra sees norm 1 to 1e-12.
         scale = 1.0 / math.sqrt(norm)
-        _setfield(self, "amp_up", complex(amp_up) * scale)
-        _setfield(self, "amp_down", complex(amp_down) * scale)
+        _setfield(self, "amp_up", amp_up * scale)
+        _setfield(self, "amp_down", amp_down * scale)
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.amp_up, self.amp_down], dtype=complex)

@@ -87,6 +87,14 @@ def _noisy(spec: NoiseSpec) -> bool:
     return spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
 
 
+def _check_types(sched: Schedule, spec: NoiseSpec) -> None:
+    """Raise TypeError unless sched is a Schedule and spec a NoiseSpec."""
+    if not isinstance(sched, Schedule):
+        raise TypeError(f"sched must be a Schedule, got {type(sched).__name__}")
+    if not isinstance(spec, NoiseSpec):
+        raise TypeError(f"spec must be a NoiseSpec, got {type(spec).__name__}")
+
+
 def _nominal_drives(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Unperturbed (omega, tau) of every segment, each of shape (len(sched),)."""
     omega = np.array([seg.omega for seg in sched], dtype=float)
@@ -125,6 +133,7 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     both sigmas zero nothing is drawn. It is the schedule that trial
     trial_index of ``fidelity_sweep`` propagates.
     """
+    _check_types(sched, spec)
     draws = np.zeros((1, len(sched), 2))
     if _noisy(spec):
         rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
@@ -150,6 +159,7 @@ def predicted_infidelity(sched: Schedule, spec: NoiseSpec) -> float:
     ignored. The angles come from ``drive_arrays``, not from the sweep's
     own perturbation code, so this checks the sweep independently.
     """
+    _check_types(sched, spec)
     _, theta = drive_arrays(sched.segments)
     var_omega, var_tau = spec.sigma_omega**2, spec.sigma_tau**2
     return (var_omega + var_tau + var_omega * var_tau) * float(theta @ theta) / 8
@@ -291,9 +301,36 @@ def _block_product(steps: np.ndarray, z_axis: list[bool]) -> np.ndarray:
     return u
 
 
+def _block_traces(target_dag: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """tr(target_dag @ u[i]) for every i, with the bits of the stacked product.
+
+    ``target_dag @ u`` makes one zgemm call per 2x2 trial; this makes one
+    per block. It multiplies the columns of every u[i] and of -1j * u[i]
+    (an exact scaling) by target_dag. In BLAS's column-major terms that is
+    a product with two rows, as each trial's own is, so each entry runs
+    through the same kernel chain of fused multiply-adds, with the factors'
+    roles exchanged. The exchange leaves the real part's chain as it was,
+    and the real part of target_dag @ (-1j * u[i]) is the imaginary part's
+    chain. The layout target_dag @ [u_0 | u_1 | ...] runs the kernel's
+    vectorized path instead, which changes about 40% of the product's
+    words for a general target. zgemm's arithmetic depends on the CPU and
+    the BLAS build; tests/test_noise.py checks these bits.
+    """
+    trials = len(u)
+    columns = np.empty((2, trials, 2, 2), dtype=complex)
+    columns[0] = u.transpose(0, 2, 1)  # row j of columns[0, i] is column j of u[i]
+    np.multiply(columns[0], -1j, out=columns[1])
+    products = (columns.reshape(-1, 2) @ target_dag.T).real
+    parts = products[0::2, 0] + products[1::2, 1]
+    traces = np.empty(trials, dtype=complex)
+    traces.real, traces.imag = parts[:trials], parts[trials:]
+    return traces
+
+
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
+    sched must be a Schedule and spec a NoiseSpec, or TypeError is raised.
     target is a finite 2x2 gate, unitary to TARGET_UNITARITY_TOL; any
     other target raises ValueError. Trial i propagates
     ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
@@ -304,11 +341,16 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     rotation) has diagonal steps, applied as diagonal scalings rather than
     2x2 matmuls: with a diagonal factor each entry of a product has a
     single nonzero term, so the product has the values of
-    ``core.ordered_product`` and the fidelities its bits. With both sigmas
-    zero every trial propagates the unperturbed schedule, so the sweep
-    propagates trial 0 alone and repeats its fidelity; the fidelities and
-    their statistics are the same, bit for bit, as if every trial ran.
+    ``core.ordered_product`` and the fidelities its bits. Each block's
+    traces take one zgemm call (``_block_traces``) instead of one per
+    trial, with the bits of the stacked product target^dag @ U; an
+    elementwise trace would be faster still but changes bits, which waits
+    on ROADMAP item 6. With both sigmas zero every trial propagates the
+    unperturbed schedule, so the sweep propagates trial 0 alone and
+    repeats its fidelity; the fidelities and their statistics are the
+    same, bit for bit, as if every trial ran.
     """
+    _check_types(sched, spec)
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be a 2x2 gate, got shape {target.shape}")
@@ -329,9 +371,11 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
         omega, tau = _perturbed_drives(*nominal, spec, draws)
         # Segment-major, so each product step multiplies the whole block.
         steps = su2(axes, omega * tau).swapaxes(0, 1)
-        product = target_dag @ _block_product(steps, z_axis)
-        # The trace, read off the diagonal: np.trace gives the same bits slower.
-        fidelities[block] = np.abs(product[..., 0, 0] + product[..., 1, 1]) / 2
+        u = _block_product(steps, z_axis)
+        del steps  # freed before the traces' temporaries
+        # The empty schedule's product is one identity for the whole block.
+        u = np.broadcast_to(u, (block.stop - block.start, 2, 2))
+        fidelities[block] = np.abs(_block_traces(target_dag, u)) / 2
     if not noisy:
         fidelities = np.full(spec.trials, fidelities[0])
     return SweepResult(

@@ -165,6 +165,26 @@ class TestBlochVector:
                 propagate(Schedule(), QubitState(*amps))
 
 
+    @pytest.mark.parametrize("amps", [(np.complex128(1e200), 0), (0, np.float64(-1e200)),
+                                      (10**400, 0)])
+    def test_rejects_overflowing_numpy_or_integer_amplitude(self, amps):
+        # A numpy scalar's square overflowed with a RuntimeWarning, and an
+        # integer beyond the float range raised OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonNormalizedStateError, match="= inf, expected 1"):
+                QubitState(*amps)
+
+    def test_numpy_amplitudes_are_stored_as_python_complex(self):
+        state = QubitState(np.complex128(0.6), np.float64(0.8))
+        assert state == QubitState(0.6, 0.8)
+        assert type(state.amp_up) is complex and type(state.amp_down) is complex
+
+    def test_rejects_text_amplitude(self):
+        with pytest.raises(TypeError, match="not text"):
+            QubitState("1", 0)
+
+
 class TestSegmentUnitary:
     def test_z_quarter_turn(self):
         omega = 1.7

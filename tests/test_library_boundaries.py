@@ -1,12 +1,20 @@
-"""Boundary property of the library's public callables that take scalars.
+"""Input boundaries of the library's public callables.
 
-Each example calls one callable with every argument drawn either from
-awkward values (NaN, +-inf, +-1e308, the subnormal 1e-310, bools and text)
-or from ordinary ones. Whatever the values, the call raises a ValueError
-subclass or returns finite values. An InvalidFieldError names a field the
-caller gave: an error about a value the library computed itself (a
-duration from an overflowing 1/(2 J), say) would send the caller looking
-for an argument they never passed.
+The rule: an argument of the wrong type raises TypeError, and a wrong
+value raises a ValueError subclass. Text given for a number is a wrong
+value of that field (InvalidFieldError), since float() would parse it.
+
+The property covers the callables that take scalars. Each example calls
+one callable with every argument drawn either from awkward values (NaN,
++-inf, +-1e308, the subnormal 1e-310, bools and text) or from ordinary
+ones. Whatever the values, the call raises a ValueError subclass or
+returns finite values. An InvalidFieldError names a field the caller
+gave: an error about a value the library computed itself (a duration
+from an overflowing 1/(2 J), say) would send the caller looking for an
+argument they never passed.
+
+The noise calls take records: a schedule that is not a Schedule, or a
+spec that is not a NoiseSpec, raises TypeError.
 """
 
 import cmath
@@ -19,7 +27,7 @@ from hypothesis import strategies as st
 
 from geoloop.core import state_from_angles
 from geoloop.gates import u_chi, u_gate
-from geoloop.noise import NoiseSpec
+from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule, predicted_infidelity
 from geoloop.records import (
     ControlSegment,
     CouplingStep,
@@ -125,3 +133,32 @@ def test_raises_a_value_error_or_returns_finite_values(name, key, data):
         pass
     else:
         assert finite(result), f"{name} returned a non-finite value: {result!r}"
+
+
+NOISE_CALLS = {
+    "fidelity_sweep": lambda sched, spec: fidelity_sweep(sched, u_chi(0.3), spec),
+    "perturb_schedule": lambda sched, spec: perturb_schedule(sched, spec, 0),
+    "predicted_infidelity": predicted_infidelity,
+}
+LOOP = single_loop_schedule(0.3, 1.0, 1.0)
+SPEC = NoiseSpec(sigma_omega=0.01, sigma_tau=0.01, trials=3, seed=0)
+NOT_SCHEDULES = {
+    "list": list(LOOP.segments),
+    "ConditionalSchedule": two_qubit_schedule(1.0, NmrParams(5.0, 3.0, 0.8)),
+    "None": None,
+}
+NOT_SPECS = {"None": None, "tuple": (0.01, 0.01, 3, 0), "dict": {"trials": 3}}
+
+
+@pytest.mark.parametrize("name", NOISE_CALLS)
+@pytest.mark.parametrize("kind", NOT_SCHEDULES)
+def test_noise_calls_reject_a_schedule_of_another_type(name, kind):
+    with pytest.raises(TypeError, match="sched must be a Schedule"):
+        NOISE_CALLS[name](NOT_SCHEDULES[kind], SPEC)
+
+
+@pytest.mark.parametrize("name", NOISE_CALLS)
+@pytest.mark.parametrize("kind", NOT_SPECS)
+def test_noise_calls_reject_a_spec_of_another_type(name, kind):
+    with pytest.raises(TypeError, match="spec must be a NoiseSpec"):
+        NOISE_CALLS[name](LOOP, NOT_SPECS[kind])

@@ -15,6 +15,7 @@ from geoloop.noise import (
     NoiseSpec,
     _block_draws,
     _block_product,
+    _block_traces,
     _nominal_drives,
     _perturbed_drives,
     _seed_words,
@@ -193,6 +194,14 @@ class TestFidelitySweep:
         result = fidelity_sweep(Schedule(), np.eye(2), spec)
         assert result.fidelities == (1.0,) * 5
 
+    def test_empty_schedule_reads_the_target_trace_every_trial(self):
+        # 513 noisy trials: a whole block of the broadcast identity, then one.
+        target = np.diag(np.exp([-0.4j, 0.7j]))
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 1, seed=3)
+        expected = abs(np.trace(target.conj().T)) / 2
+        result = fidelity_sweep(Schedule(), target, spec)
+        assert [f.hex() for f in result.fidelities] == [expected.hex()] * spec.trials
+
     def test_single_segment_sweep(self):
         seg = ControlSegment((0, 1, 0), 1.0, 0.5)
         spec = NoiseSpec(sigma_tau=0.1, trials=3, seed=2)
@@ -343,6 +352,60 @@ class TestBlockProduct:
         got = [bits(sched) for sched in schedules]
         monkeypatch.setattr(noise, "_block_product", lambda steps, _: ordered_product(steps))
         assert got == [bits(sched) for sched in schedules]
+
+
+def random_unitaries(rng, count):
+    """count random 2x2 unitaries with general complex entries, shape (count, 2, 2)."""
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+class TestBlockTraces:
+    """One zgemm call per block gives the traces of the stacked product, bit for bit.
+
+    zgemm's arithmetic depends on the CPU and the BLAS build, so on a new
+    host these tests are the first to show a product that rounds apart.
+    """
+
+    @staticmethod
+    def assert_stacked_traces(target_dag, u):
+        product = target_dag @ u
+        expected = product[..., 0, 0] + product[..., 1, 1]
+        got = _block_traces(target_dag, u)
+        # == rather than bits for the traces (a zero part's sign may differ);
+        # the fidelities read off them must keep every bit.
+        assert (got == expected).all()
+        assert (np.abs(got) / 2).tobytes() == (np.abs(expected) / 2).tobytes()
+
+    def test_random_blocks_and_targets(self):
+        # General unitary targets, and the u_chi targets the CLI uses, whose
+        # entries are all imaginary.
+        rng = np.random.default_rng(22)
+        for case in range(60):
+            trials = int(rng.integers(1, 601))
+            target = random_unitaries(rng, 1)[0] if case % 2 else u_chi(rng.uniform(-4, 4))
+            self.assert_stacked_traces(target.conj().T, random_unitaries(rng, trials))
+
+    @pytest.mark.parametrize("sched", [
+        Schedule(),
+        Schedule(segments=(ControlSegment((0, 0, 1), 1.0, 0.5),
+                           ControlSegment((0, 0, -1), 2.0, 0.3))),
+        LOOP,
+    ], ids=["empty", "all-z", "paper-loop"])
+    def test_each_block_product_shape(self, sched):
+        # _block_product's three shapes: the identity of an empty schedule,
+        # broadcast over the block as fidelity_sweep does, a diagonal stack
+        # from z steps only, and a general stack.
+        rng = np.random.default_rng(23)
+        axes = np.array([seg.axis for seg in sched], dtype=float).reshape(-1, 3)
+        theta = np.array([seg.omega * seg.duration for seg in sched])
+        z_axis = [seg.axis[:2] == (0.0, 0.0) for seg in sched]
+        for trials in (1, TRIAL_BLOCK, 600):
+            draws = 1.0 + 0.05 * rng.standard_normal((trials, len(sched)))
+            u = _block_product(su2(axes, theta * draws).swapaxes(0, 1), z_axis)
+            u = np.broadcast_to(u, (trials, 2, 2))
+            for target in (random_unitaries(rng, 1)[0], u_chi(0.3)):
+                self.assert_stacked_traces(target.conj().T, u)
 
 
 # Schedules of the pinned sweep grid: paper loops, a loop with other axes
