@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .records import ControlSegment, Schedule, _Record, _setfield, as_float
+from .records import ControlSegment, Schedule, _Record, _setfield, as_finite
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,13 +57,6 @@ class QubitState(_Record):
     def as_vector(self) -> np.ndarray:
         return np.array([self.amp_up, self.amp_down], dtype=complex)
 
-    def inner(self, other: "QubitState") -> complex:
-        """<self|other>."""
-        return (
-            np.conj(self.amp_up) * other.amp_up
-            + np.conj(self.amp_down) * other.amp_down
-        )
-
 
 class BlochVector(_Record):
     """Unit vector on the Bloch sphere."""
@@ -95,13 +88,11 @@ def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitStat
 
     The plus branch points along (chi, phi) on the Bloch sphere, the minus
     branch is its orthogonal complement (antipodal point). Angles outside
-    the nominal ranges are reduced mod 2*pi to (-pi, pi].
+    the nominal ranges are reduced mod 2*pi to (-pi, pi]; a NaN or infinite
+    angle raises InvalidFieldError naming it.
     """
-    chi, phi = as_float("chi", chi), as_float("phi", phi)
-    if not (math.isfinite(chi) and math.isfinite(phi)):
-        raise ValueError("chi and phi must be finite")
-    chi = wrap_phase(chi)
-    phi = wrap_phase(phi)
+    chi = wrap_phase(as_finite("chi", chi))
+    phi = wrap_phase(as_finite("phi", phi))
     c, s = math.cos(chi / 2), math.sin(chi / 2)
     em = np.exp(-0.5j * phi)
     ep = np.exp(0.5j * phi)

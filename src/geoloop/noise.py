@@ -131,9 +131,13 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     in that order, from its own stream default_rng([seed, trial_index])
     (seed taken mod 2**64), so it depends only on (seed, trial_index); with
     both sigmas zero nothing is drawn. It is the schedule that trial
-    trial_index of ``fidelity_sweep`` propagates.
+    trial_index of ``fidelity_sweep`` propagates. trial_index must be an
+    int >= 0, or InvalidFieldError names it.
     """
     _check_types(sched, spec)
+    trial_index = as_int("trial_index", trial_index)  # an int, as SeedSequence takes
+    if trial_index < 0:
+        raise InvalidFieldError("trial_index", "trial_index must be >= 0")
     draws = np.zeros((1, len(sched), 2))
     if _noisy(spec):
         rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
@@ -335,18 +339,12 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     other target raises ValueError. Trial i propagates
     ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
     its streams are hashed in batches rather than by one SeedSequence per
-    trial. Trials are propagated in blocks: one ``su2`` call per block over
-    its (trials, segments) angles, then one product step per segment across
-    the block's trials. A segment whose axis has x and y exactly zero (a z
-    rotation) has diagonal steps, applied as diagonal scalings rather than
-    2x2 matmuls: with a diagonal factor each entry of a product has a
-    single nonzero term, so the product has the values of
-    ``core.ordered_product`` and the fidelities its bits. Each block's
-    traces take one zgemm call (``_block_traces``) instead of one per
-    trial, with the bits of the stacked product target^dag @ U; an
-    elementwise trace would be faster still but changes bits, which waits
-    on ROADMAP item 6. With both sigmas zero every trial propagates the
-    unperturbed schedule, so the sweep propagates trial 0 alone and
+    trial. Trials are propagated in blocks of TRIAL_BLOCK: one ``su2`` call
+    per block, then ``_block_product`` and ``_block_traces``, which keep the
+    bits of ``core.ordered_product`` and of the stacked product target^dag
+    @ U. An elementwise trace would be faster still but changes bits, which
+    waits on ROADMAP item 6. With both sigmas zero every trial propagates
+    the unperturbed schedule, so the sweep propagates trial 0 alone and
     repeats its fidelity; the fidelities and their statistics are the
     same, bit for bit, as if every trial ran.
     """

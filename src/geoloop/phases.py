@@ -95,12 +95,6 @@ class BlochPath(_Record):
     def __reduce__(self):  # through __init__, so a copy's arrays are read-only too
         return self.__class__, (self.t, self.r)
 
-    def points(self) -> np.ndarray:
-        return self.r
-
-    def times(self) -> np.ndarray:
-        return self.t
-
     @property
     def samples(self) -> "PathSamples":
         """The path as a read-only sequence of (time, BlochVector) pairs."""
@@ -186,29 +180,61 @@ def sample_path(
 ) -> BlochPath:
     """Bloch trajectory with exact boundary points.
 
-    Each segment rotates the Bloch vector about its axis n by theta =
-    omega * t. Interior points come from the closed (Rodrigues) form
-    r(theta) = (1, cos theta, sin theta) . ((n.r0) n, r0 - (n.r0) n, n x r0)
-    of the segment's entry point r0, one matrix product per segment and
-    block of PATH_BLOCK rows. The blocks run across segments, and the angles
-    and their cos and sin are computed once per block for each distinct
-    (omega, duration), however many segments share it. Each segment with
-    nonzero duration contributes samples_per_segment - 1 new points, so the
-    path has 1 + (moving segments) * (samples_per_segment - 1) samples in
-    total.
+    Each segment with nonzero duration turns the Bloch vector about its
+    axis by the closed form of segment_endpoints and adds
+    samples_per_segment - 1 points, sample j at the fraction j /
+    (samples_per_segment - 1) of its duration: the path has 1 + (moving
+    segments) * (samples_per_segment - 1) samples in total.
+
+    Segments of one exact (omega, duration) share each block's angles and
+    their cos and sin. The fraction, then the elapsed time, then the
+    absolute time are the IEEE operations of the whole-segment form, so no
+    point depends on the block size or on which segments share a shape.
     """
     per_segment = as_int("samples_per_segment", samples_per_segment) - 1
     if per_segment < 1:
         raise ValueError("samples_per_segment must be >= 2")
     # Zero-duration segments add no samples: times must stay strictly
     # increasing and the points would be duplicates.
-    moving = sum(1 for seg in sched if seg.duration > 0)
-    times = np.empty(1 + moving * per_segment)
+    starts = []  # the start time of each moving segment
+    shapes = {}  # (omega, duration) -> (one such segment, their indices)
+    t0 = 0.0
+    for seg in sched:
+        if seg.duration > 0:
+            key = seg.omega.hex(), seg.duration.hex()  # exact bits: omega -0.0 is not 0.0
+            shapes.setdefault(key, (seg, []))[1].append(len(starts))
+            starts.append(t0)
+        t0 += seg.duration
+    times = np.empty(1 + len(starts) * per_segment)
     points = np.empty((len(times), 3))
     times[0] = 0.0
     points[0] = bloch_points(initial.as_vector())
-    # The block buffers are gone by the time BlochPath checks the arrays.
-    _fill_segments(sched, per_segment, times, points)
+    if not starts:
+        return BlochPath(t=times, r=points)
+    _, bases = segment_endpoints(sched, points[0], per_segment)
+    # Only a one-row segment gets a one-row block (see segment_endpoints),
+    # and a one-row tail is done as the last two rows.
+    block = min(max(PATH_BLOCK, 2), per_segment)
+    theta = np.empty(block)
+    coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
+    for lo in range(0, per_segment, block):
+        if lo == per_segment - 1 and lo > 0:
+            lo -= 1  # a one-row tail
+        m = min(block, per_segment - lo)
+        fraction = np.arange(lo + 1.0, lo + m + 1.0)  # exact integers
+        fraction /= per_segment
+        for seg, ks in shapes.values():
+            rows = [slice(1 + k * per_segment + lo, 1 + k * per_segment + lo + m) for k in ks]
+            np.multiply(fraction, seg.duration, out=theta[:m])  # the elapsed times
+            for k, r in zip(ks, rows):
+                np.add(theta[:m], starts[k], out=times[r])
+            theta[:m] *= seg.omega
+            np.cos(theta[:m], out=coeffs[:m, 1])
+            np.sin(theta[:m], out=coeffs[:m, 2])
+            for k, r in zip(ks, rows):
+                np.matmul(coeffs[:m], bases[k], out=points[r])
+        del fraction  # before the next block's, so that one block's is alive at a time
+    del theta, coeffs  # before BlochPath's checks allocate their own buffers
     return BlochPath(t=times, r=points)
 
 
@@ -223,14 +249,10 @@ def segment_endpoints(
     ends at theta = omega * duration, where the next one starts. Each end
     point is the second of two rows, at the fractions (per_segment - 1) /
     per_segment and 1 of the duration (one row, at 1, when per_segment is
-    1), with the angles and the kind of matrix product that _fill_segments
+    1), with the angles and the kind of matrix product that sample_path
     gives the segment's final block. So the entry points are, bit for bit,
     the rows on which a path of per_segment + 1 samples per segment ends
-    its segments. The end rows' angles and their cos and sin come first,
-    for every segment at once; then, segment by segment, numpy's dot n.r,
-    the basis rows (n.r) n, r - (n.r) n and n x r, each written in place
-    into the returned array, and the end point, the last row of the
-    coefficients times that basis.
+    its segments.
 
     Returns the points, shape (moving + 1, 3): each moving segment's entry
     point, then the end of the last one; and the bases, shape (moving, 3, 3).
@@ -263,59 +285,6 @@ def segment_endpoints(
     return points, bases
 
 
-def _fill_segments(
-    sched: Schedule, per_segment: int, times: np.ndarray, points: np.ndarray
-) -> None:
-    """Write every moving segment's samples after the first row, in blocks.
-
-    Sample j of a segment (1 <= j <= per_segment) sits at the fraction
-    j / per_segment of its duration. segment_endpoints gives every segment's
-    basis first, so the fill runs block-major: for each block of fractions,
-    the elapsed times t, the angles omega * t and their cos and sin are
-    computed once for each distinct (omega, duration), keyed by its exact
-    bits so that omega = -0.0 and 0.0 stay apart, and then every segment of
-    that shape gets its own absolute times and its own matrix product. The
-    fraction, then the elapsed time, then the absolute time are the IEEE
-    operations of the whole-segment form, so no point depends on the block
-    size or on which segments share a shape.
-    """
-    starts = []  # (segment, start time) of each moving segment
-    t0 = 0.0
-    for seg in sched:
-        if seg.duration > 0:
-            starts.append((seg, t0))
-        t0 += seg.duration
-    if not starts:
-        return
-    _, bases = segment_endpoints(sched, points[0], per_segment)
-    shapes: dict[tuple[str, str], list[int]] = {}
-    for k, (seg, _) in enumerate(starts):
-        shapes.setdefault((seg.omega.hex(), seg.duration.hex()), []).append(k)
-    # Only a one-row segment gets a one-row block (see segment_endpoints),
-    # and a one-row tail is done as the last two rows.
-    block = min(max(PATH_BLOCK, 2), per_segment)
-    theta = np.empty(block)
-    coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
-    for lo in range(0, per_segment, block):
-        if lo == per_segment - 1 and lo > 0:
-            lo -= 1  # a one-row tail
-        m = min(block, per_segment - lo)
-        fraction = np.arange(lo + 1.0, lo + m + 1.0)  # exact integers
-        fraction /= per_segment
-        for ks in shapes.values():
-            seg = starts[ks[0]][0]
-            rows = [slice(1 + k * per_segment + lo, 1 + k * per_segment + lo + m) for k in ks]
-            np.multiply(fraction, seg.duration, out=theta[:m])  # the elapsed times
-            for k, r in zip(ks, rows):
-                np.add(theta[:m], starts[k][1], out=times[r])
-            theta[:m] *= seg.omega
-            np.cos(theta[:m], out=coeffs[:m, 1])
-            np.sin(theta[:m], out=coeffs[:m, 2])
-            for k, r in zip(ks, rows):
-                np.matmul(coeffs[:m], bases[k], out=points[r])
-        del fraction  # before the next block's, so that one block's is alive at a time
-
-
 def _chain_phase(
     w: np.ndarray, z: np.ndarray, first: int, south: bool, scratch: Sequence[np.ndarray]
 ):
@@ -328,11 +297,7 @@ def _chain_phase(
     imaginary part negated in the south chart. Each point's (x, y) comes as
     one complex w = x + iy, so one product conj(w_k) w_k+1 gives
     x_k x_k+1 + y_k y_k+1 as its real part and (r_k x r_k+1)_z as its
-    imaginary part. The passes, each over the whole chain: that product;
-    z_k z_k+1 plus its real part, r_k.r_k+1, whose minimum is the overlap
-    check; s and its sign, the chart; 1 + |s| + r_k.r_k+1; the imaginary
-    part, copied contiguous and negated where the chart is south; one
-    arctan2 and one sum. The south lift is e^{-i phi} times the north lift
+    imaginary part. The south lift is e^{-i phi} times the north lift
     (times a positive scale), so at each point k where consecutive edges
     switch chart, phi_k = arg w_k is subtracted (north to south) or added
     (south to north) to keep one lift per point. The switches come from
@@ -379,6 +344,7 @@ def _chain_phase(
     return total, souths.item(-1)
 
 
+@np.errstate(over="raise", invalid="raise")  # caught below, as a ValueError
 def solid_angle(path: BlochPath) -> float:
     """Signed solid angle enclosed by a closed Bloch path, in (-2*pi, 2*pi].
 
@@ -393,36 +359,32 @@ def solid_angle(path: BlochPath) -> float:
     MIN_EDGE_OVERLAP raises ValueError. A one-point path, the identity
     evolution's, is closed and encloses 0.
 
-    The edges are summed in blocks of PATH_BLOCK, then the closing edge,
-    each block a fixed sequence of whole-block passes (see _chain_phase)
-    that starts with one complex product on a view of the points, without
-    a copy, and ends with one arctan2 and one sum; points that are not
-    C-contiguous are copied to that layout first. The complex view and the
-    scratch buffers are made once per call, and the chart of each block's
-    last edge is handed to the next block, so a chart switch on a block
-    boundary or at the closing edge is corrected once. The block sums are
-    added with fsum.
+    The points are read as unit vectors, and their norms are not checked:
+    off the sphere, the result is not an area. Coordinates so large that
+    the edge sums overflow raise ValueError, without a warning.
     """
     # Rows laid out (x, y, z), so that each (x, y) reads as one complex.
-    pts = np.ascontiguousarray(path.points())
-    if not len(pts) or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
-        raise OpenPathError("path is not closed to within the closure tolerance")
-    edges = len(pts) - 1
-    block = max(min(PATH_BLOCK, edges), 1)  # a column at least, for the closing edge
-    scratch = (
-        np.empty(block, dtype=complex), *np.empty((2, block)), *np.empty((2, block), dtype=bool)
-    )
-    closing = pts[[-1, 0]]
-    south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
-    w, z = pts[:, :2].view(complex)[:, 0], pts[:, 2]
-    parts = []
-    for start in range(0, edges, PATH_BLOCK):
-        stop = min(start + PATH_BLOCK, edges)
-        part = scratch if stop - start == block else [a[:stop - start] for a in scratch]
-        phase, south = _chain_phase(w[start:stop + 1], z[start:stop + 1], start, south, part)
-        parts.append(phase)
-    w, z = closing[:, :2].view(complex)[:, 0], closing[:, 2]
-    parts.append(_chain_phase(w, z, edges, south, [a[:1] for a in scratch])[0])
+    pts = np.ascontiguousarray(path.r)
+    try:
+        if not len(pts) or not np.max(np.abs(pts[0] - pts[-1])) <= PATH_CLOSURE_TOL:
+            raise OpenPathError("path is not closed to within the closure tolerance")
+        edges = len(pts) - 1
+        block = max(min(PATH_BLOCK, edges), 1)  # a column at least, for the closing edge
+        scratch = (np.empty(block, dtype=complex), *np.empty((2, block)),
+                   *np.empty((2, block), dtype=bool))
+        closing = pts[[-1, 0]]
+        south = bool(closing[0, 2] + closing[1, 2] < 0)  # the edge entering pts[0]
+        w, z = pts[:, :2].view(complex)[:, 0], pts[:, 2]
+        parts = []
+        for start in range(0, edges, PATH_BLOCK):
+            stop = min(start + PATH_BLOCK, edges)
+            part = scratch if stop - start == block else [a[:stop - start] for a in scratch]
+            phase, south = _chain_phase(w[start:stop + 1], z[start:stop + 1], start, south, part)
+            parts.append(phase)
+        w, z = closing[:, :2].view(complex)[:, 0], closing[:, 2]
+        parts.append(_chain_phase(w, z, edges, south, [a[:1] for a in scratch])[0])
+    except FloatingPointError:  # only coordinates far off the unit sphere overflow
+        raise ValueError("the edge sums overflow: points far off the unit sphere") from None
     # fsum keeps the block sums' rounding from growing with the block count.
     # A single loop cannot enclose more than the sphere.
     return 2.0 * wrap_phase(math.fsum(parts))

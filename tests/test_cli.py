@@ -157,6 +157,13 @@ class TestSynthesize:
         assert rc == 2
         assert "chi out of range" in capsys.readouterr().err
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        rc = main(["synthesize", "--chi", "pi/4", "--omega", "1", "--omega2", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     @pytest.mark.parametrize("flag", ["--omega", "--omega2"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_rejects_non_finite_frequency(self, tmp_path, capsys, flag, bad):
@@ -315,6 +322,11 @@ class TestExportPath:
         rows = out.read_text().splitlines()
         # header + initial point + one boundary point per segment
         assert len(rows) == 2 + 4
+
+    def test_unwritable_out(self, loop_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "path.csv"
+        assert main(["export-path", str(loop_file), "--chi", "pi/4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_rejects_too_few_samples(self, loop_file, tmp_path):
         assert main(["export-path", str(loop_file), "--chi", "pi/4", "--samples", "1",

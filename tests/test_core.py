@@ -19,7 +19,7 @@ from geoloop.core import (
     su2,
     unitarity_defect,
 )
-from geoloop.records import NonUnitAxisError
+from geoloop.records import InvalidFieldError, NonUnitAxisError
 
 from helpers import random_unit_axis, series_expm, series_rotation, unit_axes
 
@@ -94,7 +94,7 @@ class TestStateFromAngles:
     def test_branches_orthogonal(self, chi, phi):
         plus = state_from_angles(chi, phi, "plus")
         minus = state_from_angles(chi, phi, "minus")
-        assert abs(plus.inner(minus)) <= TOL
+        assert abs(np.vdot(plus.as_vector(), minus.as_vector())) <= TOL
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_minus_pi_and_pi_are_one_angle(self, branch):
@@ -111,6 +111,15 @@ class TestStateFromAngles:
     def test_names_an_angle_beyond_the_float_range(self, field):
         angles = {"chi": 0.0, "phi": 0.0, field: 10**400}
         with pytest.raises(ValueError, match=f"^{field} is an integer beyond") as exc:
+            state_from_angles(**angles)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["chi", "phi"])
+    def test_names_a_non_finite_angle(self, field, bad):
+        # The rule of u_chi and u_gate, through records.as_finite.
+        angles = {"chi": 0.0, "phi": 0.0, field: bad}
+        with pytest.raises(InvalidFieldError, match=f"^{field} must be finite, got") as exc:
             state_from_angles(**angles)
         assert exc.value.field == field
 
@@ -234,6 +243,10 @@ class TestSegmentUnitary:
         # These raised TypeError from tuple() or float().
         with pytest.raises(NonUnitAxisError, match="^axis must be a sequence of 3 numbers"):
             ControlSegment(axis=axis, omega=1.0, duration=1.0)
+
+    def test_names_an_axis_with_two_components(self):
+        with pytest.raises(NonUnitAxisError, match="^axis must have 3 components, got 2$"):
+            ControlSegment((1.0, 0.0), 1.0, 1.0)
 
     def test_rejects_negative_omega(self):
         with pytest.raises(ValueError):

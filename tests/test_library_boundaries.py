@@ -14,7 +14,9 @@ from an overflowing 1/(2 J), say) would send the caller looking for an
 argument they never passed.
 
 The noise calls take records: a schedule that is not a Schedule, or a
-spec that is not a NoiseSpec, raises TypeError.
+spec that is not a NoiseSpec, raises TypeError. solid_angle reads its
+points as unit vectors: coordinates whose edge sums overflow raise
+ValueError, without a warning.
 """
 
 import cmath
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from geoloop.core import state_from_angles
 from geoloop.gates import u_chi, u_gate
 from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule, predicted_infidelity
+from geoloop.phases import BlochPath, solid_angle
 from geoloop.records import (
     ControlSegment,
     CouplingStep,
@@ -162,3 +165,29 @@ def test_noise_calls_reject_a_schedule_of_another_type(name, kind):
 def test_noise_calls_reject_a_spec_of_another_type(name, kind):
     with pytest.raises(TypeError, match="spec must be a NoiseSpec"):
         NOISE_CALLS[name](LOOP, NOT_SPECS[kind])
+
+
+@pytest.mark.parametrize("spec", [SPEC, NoiseSpec(trials=3)], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize(
+    "trial_index", ["12", True, None, 1.0, -1, pytest.param(-(10**5000), id="-10**5000")]
+)
+def test_perturb_schedule_names_a_trial_index_that_is_not_an_int_ge_0(trial_index, spec):
+    # numpy's SeedSequence would read "12" and True as trials 12 and 1.
+    with pytest.raises(InvalidFieldError) as exc:
+        perturb_schedule(LOOP, spec, trial_index)
+    assert exc.value.field == "trial_index"
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # The octant triangle, closed, scaled far off the unit sphere.
+        *(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]]) * s for s in (1e155, 1e200)),
+        # Open, with end points whose difference overflows.
+        np.array([[1e308, 0, 0], [0, 0, 1], [-1e308, 0, 0]]),
+    ],
+    ids=["octant-1e155", "octant-1e200", "open-1e308"],
+)
+def test_solid_angle_of_coordinates_that_overflow(points):
+    with pytest.raises(ValueError, match="^the edge sums overflow"):
+        solid_angle(BlochPath(t=np.arange(float(len(points))), r=points))

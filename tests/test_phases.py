@@ -217,7 +217,7 @@ PINNED_PATH_OMEGA = [
 
 def closed_path(path):
     """path, with its first point repeated at the end if it does not close."""
-    pts = path.points()
+    pts = path.r
     if np.max(np.abs(pts[0] - pts[-1])) <= phases.PATH_CLOSURE_TOL:
         return path
     pts = np.vstack([pts, pts[:1]])
@@ -377,16 +377,16 @@ class TestSamplePath:
         chi = 0.9
         sched, state = loop_and_state(chi)
         path = sample_path(sched, state, 50)
-        first = path.points()[0]
+        first = path.r[0]
         assert np.allclose(first, [math.sin(chi), 0, math.cos(chi)], atol=1e-12)
-        assert np.max(np.abs(path.points()[0] - path.points()[-1])) <= 1e-9
+        assert np.max(np.abs(path.r[0] - path.r[-1])) <= 1e-9
 
     def test_geodesic_segment_stays_in_plane(self):
         # Entering the x-rotation at azimuth pi/2 keeps the path in the y-z plane.
         state = state_from_angles(0.8, math.pi / 2, "plus")
         sched = Schedule(segments=(ControlSegment((1, 0, 0), 1.0, 2.5),))
         path = sample_path(sched, state, 40)
-        assert np.max(np.abs(path.points()[:, 0])) <= 1e-12
+        assert np.max(np.abs(path.r[:, 0])) <= 1e-12
 
     def test_empty_schedule_single_sample(self):
         path = sample_path(Schedule(), QubitState(1, 0), 10)
@@ -395,7 +395,7 @@ class TestSamplePath:
 
     def test_times_strictly_increasing(self):
         sched, state = loop_and_state(math.pi / 2)  # includes a zero-duration segment
-        t = sample_path(sched, state, 7).times()
+        t = sample_path(sched, state, 7).t
         assert np.all(np.diff(t) > 0)
 
     def test_sample_count(self):
@@ -407,8 +407,8 @@ class TestSamplePath:
         digest = hashlib.sha256()
         for sched, state, samples in pinned_path_cases():
             path = sample_path(sched, state, samples)
-            digest.update(path.times().tobytes())
-            digest.update(path.points().tobytes())
+            digest.update(path.t.tobytes())
+            digest.update(path.r.tobytes())
         assert digest.hexdigest() == PINNED_PATH_DIGEST
 
     def test_segment_endpoints_are_the_path_rows(self):
@@ -419,8 +419,8 @@ class TestSamplePath:
         signed_zeros = (Schedule(segments=(seg, seg)), state_from_angles(0.0, 0.0, "minus"), 3)
         for sched, state, samples in [*pinned_path_cases(), signed_zeros]:
             path = sample_path(sched, state, samples)
-            ends, bases = phases.segment_endpoints(sched, path.points()[0], samples - 1)
-            assert ends.tobytes() == path.points()[:: samples - 1].tobytes()
+            ends, bases = phases.segment_endpoints(sched, path.r[0], samples - 1)
+            assert ends.tobytes() == path.r[:: samples - 1].tobytes()
             assert bases.shape == (len(ends) - 1, 3, 3)
 
     def test_rejects_too_few_samples(self):
@@ -438,23 +438,23 @@ class TestSamplePath:
     def test_numpy_integer_samples(self):
         sched, state = loop_and_state(0.3)
         path, twin = sample_path(sched, state, 5), sample_path(sched, state, np.int64(5))
-        assert np.array_equal(path.points(), twin.points())
+        assert np.array_equal(path.r, twin.r)
 
     @settings(max_examples=40, deadline=None)
     @given(schedules, initial_states, st.integers(2, 40))
     def test_matches_point_by_point_propagation(self, sched, state, n):
         path = sample_path(sched, state, n)
         times, points = reference_path(sched, state, n)
-        assert np.array_equal(path.times(), times)
-        assert path.points().shape == points.shape
-        assert np.max(np.abs(path.points() - points)) <= 1e-14
+        assert np.array_equal(path.t, times)
+        assert path.r.shape == points.shape
+        assert np.max(np.abs(path.r - points)) <= 1e-14
 
     def test_loop_matches_point_by_point_propagation(self):
         sched, state = loop_and_state(math.pi / 2, 0.7, 1.9)  # zero-duration last segment
         path = sample_path(sched, state, 500)
         times, points = reference_path(sched, state, 500)
-        assert np.array_equal(path.times(), times)
-        assert np.max(np.abs(path.points() - points)) <= 1e-14
+        assert np.array_equal(path.t, times)
+        assert np.max(np.abs(path.r - points)) <= 1e-14
 
     # 4097 and 8194 samples leave a one-row tail after whole blocks of 4096.
     @pytest.mark.parametrize("samples", [2, 4097, 4098, 8194])
@@ -464,8 +464,8 @@ class TestSamplePath:
         times, points = whole_segment_path(sched, state, samples)
         monkeypatch.setattr(phases, "PATH_BLOCK", block)
         path = sample_path(sched, state, samples)
-        assert path.times().tobytes() == times.tobytes()
-        assert path.points().tobytes() == points.tobytes()
+        assert path.t.tobytes() == times.tobytes()
+        assert path.r.tobytes() == points.tobytes()
 
     # A one-row block: first every block (block 1), then the tail of 4097 rows.
     @pytest.mark.parametrize("samples, block", [(3, 1), (4098, 4096)])
@@ -476,7 +476,7 @@ class TestSamplePath:
         sched, state = Schedule(segments=(seg,)), state_from_angles(0.0, 0.0, "minus")
         times, points = whole_segment_path(sched, state, samples)
         monkeypatch.setattr(phases, "PATH_BLOCK", block)
-        assert sample_path(sched, state, samples).points().tobytes() == points.tobytes()
+        assert sample_path(sched, state, samples).r.tobytes() == points.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(schedules, initial_states, st.integers(2, 40), st.integers(1, 8))
@@ -487,8 +487,8 @@ class TestSamplePath:
             path = sample_path(sched, state, n)
         finally:
             phases.PATH_BLOCK = default
-        assert path.times().tobytes() == times.tobytes()
-        assert path.points().tobytes() == points.tobytes()
+        assert path.t.tobytes() == times.tobytes()
+        assert path.r.tobytes() == points.tobytes()
 
 
 class TestBlochPath:
@@ -496,23 +496,23 @@ class TestBlochPath:
         sched, state = loop_and_state(0.6)
         path = sample_path(sched, state, 20)
         samples = path.samples
-        assert len(samples) == len(path.times()) == len(path.points())
+        assert len(samples) == len(path.t) == len(path.r)
         t, point = samples[-1]
-        assert t == path.times()[-1]
+        assert t == path.t[-1]
         assert isinstance(point, BlochVector)
-        assert np.array_equal(point.as_array(), path.points()[-1])
-        assert [s[0] for s in samples] == path.times().tolist()
+        assert np.array_equal(point.as_array(), path.r[-1])
+        assert [s[0] for s in samples] == path.t.tolist()
         assert samples[1:3] == (samples[1], samples[2])
         with pytest.raises(IndexError):
             samples[len(samples)]
 
     def test_arrays_are_stored_read_only(self):
         path = sample_path(*loop_and_state(0.6), 5)
-        assert path.points() is path.points()
+        assert path.r is path.r
         with pytest.raises(ValueError):
-            path.points()[0, 0] = 2.0
+            path.r[0, 0] = 2.0
         with pytest.raises(ValueError):
-            path.times()[0] = 2.0
+            path.t[0] = 2.0
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -542,7 +542,7 @@ class TestSolidAngle:
     def test_reversed_orientation_flips_sign(self):
         sched, state = loop_and_state(math.pi / 4)
         path = sample_path(sched, state, 3000)
-        pts = path.points()[::-1]
+        pts = path.r[::-1]
         rev = BlochPath(t=np.arange(len(pts), dtype=float), r=pts)
         assert abs(solid_angle(path) + solid_angle(rev)) <= 1e-6
 
@@ -565,7 +565,7 @@ class TestSolidAngle:
         # 0, matching its geometric phase of 0 (gamma_geo = -Omega / 2).
         state = state_from_angles(chi, phi)
         path = sample_path(sched, state, 5)
-        assert len(path.points()) == 1
+        assert len(path.r) == 1
         assert solid_angle(path) == 0.0
         assert geometric_phase(sched, state).geometric == 0.0
 
@@ -598,13 +598,13 @@ class TestSolidAngle:
     @pytest.mark.parametrize("layout", ["fortran", "padded rows"])
     def test_point_layout_does_not_matter(self, layout):
         path = sample_path(*loop_and_state(0.7, 0.9, 1.4), 5000)
-        pts = path.points()
+        pts = path.r
         if layout == "fortran":
             pts = np.asfortranarray(pts)
         else:
             pts = np.hstack([pts, np.zeros((len(pts), 1))])[:, :3]
-        other = BlochPath(t=path.times(), r=pts)
-        assert not other.points().flags.c_contiguous
+        other = BlochPath(t=path.t, r=pts)
+        assert not other.r.flags.c_contiguous
         assert solid_angle(other) == solid_angle(path)
 
     def test_omega_matches_recorded_values(self):
@@ -738,7 +738,7 @@ class TestSolidAngleInvariant:
         path = precession_path([axis], start, CAP_SAMPLES)
         omega = solid_angle(path)
         assert area_gap(omega, cap_area(axis, start)) <= CAP_TOL
-        reverse = BlochPath(t=path.times(), r=path.points()[::-1])
+        reverse = BlochPath(t=path.t, r=path.r[::-1])
         assert area_gap(solid_angle(reverse), -omega) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -772,16 +772,16 @@ class TestSolidAngleInvariant:
     )
     def test_rotation_invariant(self, chi, omega, omega2, seed):
         path = sample_path(*loop_and_state(chi, omega, omega2), 200)
-        rotated = BlochPath(t=path.times(), r=path.points() @ random_rotation(seed).T)
+        rotated = BlochPath(t=path.t, r=path.r @ random_rotation(seed).T)
         assert area_gap(solid_angle(rotated), solid_angle(path)) <= 1e-12
 
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
     def test_independent_of_block_size(self, monkeypatch, block):
         path = zigzag_path([7 * k for k in range(1, 9)] + [4096, 8192], 8200)
-        turns = chart_turns(path.points())
+        turns = chart_turns(path.r)
         assert np.any((turns > 0) & (turns % block == 0))  # a switch on a block boundary
         expected = solid_angle(path)
-        assert area_gap(expected, complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(expected, complex_lift_area(path.r)) <= 1e-12
         monkeypatch.setattr(phases, "PATH_BLOCK", block)
         assert abs(solid_angle(path) - expected) <= 1e-12
 
@@ -802,20 +802,20 @@ class TestSolidAngleCharts:
     @given(cyclic_loops(), st.integers(3, 400))
     def test_random_loops_match_complex_lift(self, loop, n):
         path = sample_path(*loop, n)
-        assert area_gap(solid_angle(path), complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(solid_angle(path), complex_lift_area(path.r)) <= 1e-12
 
     def test_many_equator_crossings(self):
         axis, start = unit(1, 0, 0.1), unit(0.2, 0.6, 0.8)
         path = precession_path([axis] * 10, start, CAP_SAMPLES)
-        assert len(chart_turns(path.points())) >= 20
+        assert len(chart_turns(path.r)) >= 20
         omega = solid_angle(path)
-        assert area_gap(omega, complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(omega, complex_lift_area(path.r)) <= 1e-12
         assert area_gap(omega, 10 * cap_area(axis, start)) <= 10 * CAP_TOL
 
     def test_zigzag_across_the_equator(self):
         path = zigzag_path(list(range(3, 4000, 5)), 4001)
-        assert len(chart_turns(path.points())) >= 700
-        assert area_gap(solid_angle(path), complex_lift_area(path.points())) <= 1e-12
+        assert len(chart_turns(path.r)) >= 700
+        assert area_gap(solid_angle(path), complex_lift_area(path.r)) <= 1e-12
 
     @pytest.mark.parametrize("closing", ["between north edges", "after a south edge"])
     def test_switches_on_block_ends_and_the_closing_edge(self, monkeypatch, closing):
@@ -832,10 +832,10 @@ class TestSolidAngleCharts:
         if closing == "between north edges":
             z[8191] = 0.5
         path = latitude_loop(z)
-        turns = set(chart_turns(path.points()).tolist())
+        turns = set(chart_turns(path.r).tolist())
         assert {0, 4096} <= turns
         assert (8192 in turns) == (closing == "between north edges")
-        expected = complex_lift_area(path.points())
+        expected = complex_lift_area(path.r)
         for block in [1, 2, 3, 4095, 4096, 4097, 8191, 8192, 8193]:
             monkeypatch.setattr(phases, "PATH_BLOCK", block)
             assert area_gap(solid_angle(path), expected) <= 1e-12
@@ -847,10 +847,10 @@ class TestSolidAngleCharts:
         axis = (math.sin(tilt), 0.0, -math.cos(tilt))
         sched = Schedule(segments=(ControlSegment(axis, 1.0, 2 * math.pi),))
         path = sample_path(sched, state_from_angles(math.pi - 1e-9, math.pi), CAP_SAMPLES)
-        start = path.points()[0]
+        start = path.r[0]
         assert 0 < math.hypot(start[0], start[1]) <= 1.01e-9
         omega = solid_angle(path)
-        assert area_gap(omega, complex_lift_area(path.points())) <= 1e-12
+        assert area_gap(omega, complex_lift_area(path.r)) <= 1e-12
         assert area_gap(omega, cap_area(axis, start)) <= CAP_TOL
 
     @pytest.mark.parametrize("z1, z2", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
@@ -896,5 +896,5 @@ class TestPathAllocation:
 
     def test_sample_path_peak(self):
         path, peak = _traced_peak_kb(sample_path, *loop_and_state(math.pi / 4), 10_000)
-        returned = (path.times().nbytes + path.points().nbytes) / 1024
+        returned = (path.t.nbytes + path.r.nbytes) / 1024
         assert peak <= returned + 256

@@ -111,6 +111,33 @@ class TestParseErrors:
             parse_schedule(text)
         assert (exc.value.line, exc.value.column) == (1, text.index('"version"') + 1)
 
+    def test_rejects_a_utf8_bom(self):
+        text = "\ufeff" + serialize_schedule(Schedule())
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"schedule"', "null"])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == "top level must be an object (line 1, column 1)"
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [("version", "unsupported version"), ("label", "label must be a string, got")],
+    )
+    def test_shows_an_integer_beyond_the_int_string_limit(self, key, message):
+        # 5001 digits: json.loads cannot read them as an int, nor str() print one.
+        fields = {"version": "1", "kind": '"single_qubit"', "label": '""', "segments": "[]"}
+        fields[key] = "1" + "0" * 5000
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        column = text.index(f'"{key}"') + 1
+        expected = f"{message} <integer beyond the int-string limit> (line 1, column {column})"
+        assert str(exc.value) == expected
+
     def test_unknown_kind(self):
         with pytest.raises(ScheduleParseError):
             parse_schedule('{"version": 1, "kind": "three_qubit", "segments": []}')
