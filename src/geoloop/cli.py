@@ -189,8 +189,7 @@ def cmd_noise(args) -> int:
     )
     result = noise.fidelity_sweep(sched, target, spec)
     print("trial,fidelity")
-    for i, f in enumerate(result.fidelities):
-        print(f"{i},{f:.17g}")
+    sys.stdout.write("".join(map("%d,%.17g\n".__mod__, enumerate(result.fidelities))))
     print(f"mean,{result.mean:.17g}")
     print(f"min,{result.minimum:.17g}")
     print(f"std,{result.std:.17g}")

@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 
-from .records import ControlSegment, Schedule, _Record, _setfield, as_finite
+from .records import (
+    ControlSegment, InvalidFieldError, Schedule, _Record, _setfield, as_finite, check_type
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,7 +102,7 @@ def state_from_angles(chi: float, phi: float, branch: str = "plus") -> QubitStat
         return QubitState(em * c, ep * s)
     if branch == "minus":
         return QubitState(-em * s, ep * c)
-    raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    raise InvalidFieldError("branch", f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
 def bloch_points(spinors: np.ndarray) -> np.ndarray:
@@ -154,6 +156,7 @@ def drive_arrays(segments) -> tuple[np.ndarray, np.ndarray]:
 
 def segment_unitary(seg: ControlSegment) -> np.ndarray:
     """Exact propagator exp(-i H tau) of one segment (see ``su2``)."""
+    check_type("seg", seg, ControlSegment)
     return su2(seg.axis, seg.omega * seg.duration)
 
 
@@ -172,11 +175,13 @@ def ordered_product(steps) -> np.ndarray:
 
 def schedule_unitary(sched: Schedule) -> np.ndarray:
     """Time-ordered product of segment propagators (first segment rightmost)."""
+    check_type("sched", sched, Schedule)
     return ordered_product(su2(*drive_arrays(sched.segments)))
 
 
 def propagate(sched: Schedule, initial: QubitState) -> QubitState:
     """Final state after the whole schedule."""
+    check_type("initial", initial, QubitState)
     vec = schedule_unitary(sched) @ initial.as_vector()
     return QubitState(vec[0], vec[1])
 

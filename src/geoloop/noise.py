@@ -28,6 +28,7 @@ from .records import (
     _setfield,
     as_float,
     as_int,
+    check_type,
 )
 
 # Trials seeded and propagated together by fidelity_sweep. A seed-hash
@@ -89,10 +90,8 @@ def _noisy(spec: NoiseSpec) -> bool:
 
 def _check_types(sched: Schedule, spec: NoiseSpec) -> None:
     """Raise TypeError unless sched is a Schedule and spec a NoiseSpec."""
-    if not isinstance(sched, Schedule):
-        raise TypeError(f"sched must be a Schedule, got {type(sched).__name__}")
-    if not isinstance(spec, NoiseSpec):
-        raise TypeError(f"spec must be a NoiseSpec, got {type(spec).__name__}")
+    check_type("sched", sched, Schedule)
+    check_type("spec", spec, NoiseSpec)
 
 
 def _nominal_drives(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +228,7 @@ def _seed_words(seed: int, trials: np.ndarray) -> np.ndarray:
     out = _hashmix(pool, xor.reshape(2, _POOL, 1), mult.reshape(2, _POOL, 1))
     out = out.reshape(2 * _POOL, -1)
     # uint64 word k is little-endian (out[2k], out[2k + 1]).
-    state = out[1::2].T.astype(np.uint64, order="C")
-    state <<= 32
-    state |= out[0::2].T
-    return state
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 @functools.cache

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import BlochVector, QubitState, bloch_points, drive_arrays, su2, wrap_phase
-from .records import Schedule, _Record, _setfield, as_int
+from .records import InvalidFieldError, Schedule, _Record, _setfield, as_int, check_type
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -127,6 +127,8 @@ def _follow(sched: Schedule, initial: QubitState) -> tuple[complex, float]:
     segment k, so the sum is -1/2 sum_k theta_k n_k . r_k with theta_k =
     omega_k tau_k.
     """
+    check_type("sched", sched, Schedule)
+    check_type("initial", initial, QubitState)
     axes, theta = drive_arrays(sched.segments)
     spinors = np.empty((len(theta), 2), dtype=complex)
     start = vec = initial.as_vector()
@@ -191,9 +193,11 @@ def sample_path(
     absolute time are the IEEE operations of the whole-segment form, so no
     point depends on the block size or on which segments share a shape.
     """
+    check_type("sched", sched, Schedule)
+    check_type("initial", initial, QubitState)
     per_segment = as_int("samples_per_segment", samples_per_segment) - 1
     if per_segment < 1:
-        raise ValueError("samples_per_segment must be >= 2")
+        raise InvalidFieldError("samples_per_segment", "samples_per_segment must be >= 2")
     # Zero-duration segments add no samples: times must stay strictly
     # increasing and the points would be duplicates.
     starts = []  # the start time of each moving segment
@@ -363,6 +367,7 @@ def solid_angle(path: BlochPath) -> float:
     off the sphere, the result is not an area. Coordinates so large that
     the edge sums overflow raise ValueError, without a warning.
     """
+    check_type("path", path, BlochPath)
     # Rows laid out (x, y, z), so that each (x, y) reads as one complex.
     pts = np.ascontiguousarray(path.r)
     try:

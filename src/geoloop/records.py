@@ -31,7 +31,7 @@ class InvalidCouplingError(InvalidFieldError):
     """Coupling constant J must be positive to define the coupling interval."""
 
 
-class ChiOutOfRangeError(ValueError):
+class ChiOutOfRangeError(InvalidFieldError):
     """chi outside [0, pi/2]: the last segment would need negative duration."""
 
 
@@ -89,6 +89,12 @@ class _Record:
 
     def __reduce__(self):
         return _restore, (self.__class__, self._values(self))
+
+
+def check_type(field: str, value, cls: type) -> None:
+    """Raise TypeError naming field unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{field} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 _TEXT = (str, bytes, bytearray)  # float() parses these; no number field takes them
@@ -307,7 +313,7 @@ class ConditionalSchedule(_Record):
 def check_chi(chi: float) -> None:
     """Require chi in [0, pi/2], the range of the single-loop gate."""
     if not 0.0 <= as_float("chi", chi) <= math.pi / 2:
-        raise ChiOutOfRangeError(f"chi out of range [0, pi/2], got {chi}")
+        raise ChiOutOfRangeError("chi", f"chi out of range [0, pi/2], got {chi}")
 
 
 def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
@@ -320,8 +326,9 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
     """
     check_chi(chi)
     omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
-    if not (0 < omega < math.inf and 0 < omega2 < math.inf):  # NaN-safe
-        raise ValueError("omega and omega2 must be finite and > 0")
+    for field, rate in (("omega", omega), ("omega2", omega2)):
+        if not 0 < rate < math.inf:  # NaN-safe
+            raise InvalidFieldError(field, "omega and omega2 must be finite and > 0")
     quarter = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
     half = check_turn("omega2", omega2, math.pi / omega2)
     z_turn = ControlSegment((0.0, 0.0, 1.0), omega, quarter)

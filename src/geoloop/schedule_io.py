@@ -19,6 +19,7 @@ from .records import (
     CouplingStep,
     InvalidFieldError,
     Schedule,
+    check_type,
 )
 
 FORMAT_VERSION = 1
@@ -79,12 +80,11 @@ class _Layout(NamedTuple):
 
     cls: type
     fixed: dict  # constructor fields that the kind fixes
-    keys: tuple  # (file key, constructor field) pairs, in file order
-    allowed: frozenset  # the file keys
+    keys: dict  # file key -> constructor field, in file order; the allowed keys
     template: str  # the record as an entry of a top-level list, a %r per number
 
 
-def _layout(cls: type, fixed: dict, keys: tuple, kind: str = "") -> _Layout:
+def _layout(cls: type, fixed: dict, keys: dict, kind: str = "") -> _Layout:
     """A record kind's layout; a step's body is written under its ``kind`` key.
 
     Records are entries of the file's top-level list, at indent 4.
@@ -92,22 +92,19 @@ def _layout(cls: type, fixed: dict, keys: tuple, kind: str = "") -> _Layout:
 
     def body(indent: int) -> str:
         return _object(
-            [(key, _array(["%r"] * 3, indent + 2) if key == "axis" else "%r") for key, _ in keys],
+            [(key, _array(["%r"] * 3, indent + 2) if key == "axis" else "%r") for key in keys],
             indent,
         )
 
     template = _object([(kind, body(6))], 4) if kind else body(4)
-    return _Layout(cls, fixed, keys, frozenset(key for key, _ in keys), template)
+    return _Layout(cls, fixed, keys, template)
 
 
-_SEGMENT = _layout(
-    ControlSegment, {}, (("axis", "axis"), ("omega", "omega"), ("duration", "duration"))
-)
+_SEGMENT = _layout(ControlSegment, {}, {"axis": "axis", "omega": "omega", "duration": "duration"})
 _STEPS = {
     "pulse_y": _layout(ControlSegment, {"axis": (0.0, 1.0, 0.0)},
-                       (("omega", "omega"), ("duration", "duration")), "pulse_y"),
-    "coupling": _layout(CouplingStep, {}, (("duration", "duration"), ("j", "coupling_j")),
-                        "coupling"),
+                       {"omega": "omega", "duration": "duration"}, "pulse_y"),
+    "coupling": _layout(CouplingStep, {}, {"duration": "duration", "j": "coupling_j"}, "coupling"),
 }
 # The top-level keys of each kind of file, in the order they are written.
 _FILE_KEYS = {
@@ -158,14 +155,14 @@ def _check_fields(obj: dict, allowed, context: str, path: tuple = ()) -> None:
             raise _Reject(f"unknown field {key!r} in {context}", path + (key,))
 
 
-def _require(obj: dict, key: str, context: str, path: tuple = ()):
-    if key not in obj:
-        raise _Reject(f"missing field {key!r} in {context}", path)
-    return obj[key]
+def _require(doc: dict, key: str):
+    if key not in doc:
+        raise _Reject(f"missing field {key!r} in schedule file", ())
+    return doc[key]
 
 
 def _list(doc: dict, key: str) -> list:
-    value = _require(doc, key, "schedule file")
+    value = _require(doc, key)
     if not isinstance(value, list):
         raise _Reject(f"field {key!r} must be a list", (key,))
     return value
@@ -185,9 +182,9 @@ def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
     """A segment or step body, checked key by key in file order, then built."""
     if not isinstance(obj, dict):
         raise _Reject(f"{noun} must be an object", path)
-    _check_fields(obj, layout.allowed, name, path)
+    _check_fields(obj, layout.keys, name, path)
     fields = layout.fixed.copy()
-    for key, field in layout.keys:
+    for key, field in layout.keys.items():
         if key not in obj:
             raise _Reject(f"missing field {key!r} in {name}", path)
         value = obj[key]
@@ -203,7 +200,7 @@ def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
     try:
         return layout.cls(**fields)
     except InvalidFieldError as exc:  # reported at the key of the field it names
-        key = next(k for k, field in layout.keys if field == exc.field)
+        key = next(k for k, field in layout.keys.items() if field == exc.field)
         raise _Reject(f"invalid {noun}: {exc}", path + (key,)) from exc
 
 
@@ -217,24 +214,23 @@ def _parse_step(obj, path: tuple):
 
 
 def _parse_document(doc: dict) -> AnySchedule:
-    version = _require(doc, "version", "schedule file")
+    version = _require(doc, "version")
     if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         raise _Reject(f"unsupported version {version!r}", ("version",))
-    kind = _require(doc, "kind", "schedule file")
+    kind = _require(doc, "kind")
+    if type(kind) is not str or kind not in _FILE_KEYS:  # a list or dict is unhashable
+        raise _Reject(f"unknown kind {kind!r}", ("kind",))
+    _check_fields(doc, _FILE_KEYS[kind], "schedule file")
     if kind == "single_qubit":
-        _check_fields(doc, _FILE_KEYS[kind], "schedule file")
         segments = tuple(
             _parse_record(_SEGMENT, "segment", s, ("segments", i), "segment")
             for i, s in enumerate(_list(doc, "segments"))
         )
         cls, args = Schedule, (segments,)
-    elif kind == "two_qubit":
-        _check_fields(doc, _FILE_KEYS[kind], "schedule file")
-        mode = _require(doc, "mode", "schedule file")
+    else:
+        mode = _require(doc, "mode")
         steps = tuple(_parse_step(s, ("steps", i)) for i, s in enumerate(_list(doc, "steps")))
         cls, args = ConditionalSchedule, (steps, mode)
-    else:
-        raise _Reject(f"unknown kind {kind!r}", ("kind",))
     try:
         return cls(*args, label=doc.get("label", ""))
     except InvalidFieldError as exc:  # reported at the key of the field it names
@@ -243,6 +239,7 @@ def _parse_document(doc: dict) -> AnySchedule:
 
 def parse_schedule(text: str) -> AnySchedule:
     """Parse a schedule file into a Schedule or ConditionalSchedule."""
+    check_type("text", text, str)
     if text.startswith("\ufeff"):  # json.loads checks this; decode() does not
         raise ScheduleParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
@@ -267,7 +264,7 @@ def _entry(layout: _Layout, name: str, obj) -> str:
         if getattr(obj, field) != value:
             raise ValueError(f"{name} records need {field} {value}, got {getattr(obj, field)}")
     numbers = []
-    for key, field in layout.keys:
+    for key, field in layout.keys.items():
         if key == "axis":
             numbers += getattr(obj, field)
         else:

@@ -21,6 +21,7 @@ from .records import (
     ControlSegment,
     CouplingStep,
     InvalidCouplingError,
+    InvalidFieldError,
     Schedule,
     _Record,
     _setfield,
@@ -29,6 +30,7 @@ from .records import (
     check_chi,
     check_coupling,
     check_turn,
+    check_type,
     single_loop_schedule,
 )
 
@@ -60,12 +62,8 @@ class NmrParams(_Record):
 
     def with_matched_accessory(self) -> "NmrParams":
         """Accessory tuned to omega_a - pi*J: b = down sees zero field."""
-        return NmrParams(
-            omega_a=self.omega_a,
-            omega_b=self.omega_b,
-            coupling_j=self.coupling_j,
-            accessory=self.omega_a - math.pi * self.coupling_j,
-        )
+        accessory = self.omega_a - math.pi * self.coupling_j
+        return NmrParams(self.omega_a, self.omega_b, self.coupling_j, accessory)
 
 
 def nmr_hamiltonian(p: NmrParams) -> np.ndarray:
@@ -74,6 +72,7 @@ def nmr_hamiltonian(p: NmrParams) -> np.ndarray:
     Raises ValueError if a diagonal entry overflows the float range before
     the halving.
     """
+    check_type("p", p, NmrParams)
     pj = math.pi * p.coupling_j
     # One diagonal entry sums |omega_a|, |omega_b| and |pi J| in this order.
     if not math.isfinite(abs(p.omega_a) + abs(p.omega_b) + abs(pj)):
@@ -90,6 +89,7 @@ def effective_field_a(p: NmrParams, b_state: str) -> float:
     matched accessory omega_a - pi*J this is 2*pi*J (up) and 0 (down).
     Raises ValueError if c overflows the float range.
     """
+    check_type("p", p, NmrParams)
     if p.accessory is None:
         raise MissingAccessoryError("NmrParams.accessory is not set")
     if b_state == "up":
@@ -97,7 +97,7 @@ def effective_field_a(p: NmrParams, b_state: str) -> float:
     elif b_state == "down":
         sign = -1.0
     else:
-        raise ValueError(f"b_state must be 'up' or 'down', got {b_state!r}")
+        raise InvalidFieldError("b_state", f"b_state must be 'up' or 'down', got {b_state!r}")
     c = p.omega_a - p.accessory + sign * math.pi * p.coupling_j
     if not math.isfinite(c):  # Python floats overflow to inf without a warning
         raise ValueError(f"effective field on qubit a overflows the float range for {p}")
@@ -113,6 +113,7 @@ def two_qubit_schedule(
     interval 1/(2 J) or rate 2 pi J overflows raises InvalidCouplingError,
     and an omega whose pulse duration overflows InvalidFieldError.
     """
+    check_type("p", p, NmrParams)
     j = p.coupling_j
     check_coupling(j)  # before dividing by J
     interval = 1.0 / (2.0 * j)
@@ -121,7 +122,7 @@ def two_qubit_schedule(
         raise InvalidCouplingError("coupling_j", message)
     omega = as_float("omega", omega)
     if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+        raise InvalidFieldError("omega", f"omega must be > 0, got {omega}")
     pulse = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
     y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, pulse)
     return ConditionalSchedule(
@@ -139,6 +140,7 @@ def two_qubit_unitary(sched: ConditionalSchedule) -> np.ndarray:
     in natural mode and on the b = up block alone in line-selective mode.
     The 2x2 propagators come from one ``su2`` call and are assembled once.
     """
+    check_type("sched", sched, ConditionalSchedule)
     steps = su2(*drive_arrays(sched.steps))
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = ordered_product(steps)
@@ -165,24 +167,9 @@ def controlled_u(chi: float, omega: float, omega2: float) -> np.ndarray:
     return line_selective_unitary(single_loop_schedule(chi, omega, omega2))
 
 
-_U2_NATURAL = np.array(
-    [
-        [-1j, 0, 0, 0],
-        [0, 1j, 0, 0],
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
-_U2_LINE_SELECTIVE = np.array(
-    [
-        [-1j, 0, 0, 0],
-        [0, 1j, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
+_U2_LINE_SELECTIVE = np.diag([-1j, 1j, 1, 1])
+_U2_NATURAL = _U2_LINE_SELECTIVE.copy()
+_U2_NATURAL[2:, 2:] = [[0, -1], [1, 0]]  # b = down: a half turn about y
 _U2_NATURAL.flags.writeable = _U2_LINE_SELECTIVE.flags.writeable = False
 
 

@@ -13,10 +13,11 @@ gave: an error about a value the library computed itself (a duration
 from an overflowing 1/(2 J), say) would send the caller looking for an
 argument they never passed.
 
-The noise calls take records: a schedule that is not a Schedule, or a
-spec that is not a NoiseSpec, raises TypeError. solid_angle reads its
-points as unit vectors: coordinates whose edge sums overflow raise
-ValueError, without a warning.
+The calls that take records raise TypeError, naming the argument, for a
+value of another type: a schedule that is not a Schedule, a spec that is
+not a NoiseSpec, a state that is not a QubitState, and so on.
+solid_angle reads its points as unit vectors: coordinates whose edge
+sums overflow raise ValueError, without a warning.
 """
 
 import cmath
@@ -27,18 +28,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.core import state_from_angles
+from geoloop.core import propagate, schedule_unitary, segment_unitary, state_from_angles
 from geoloop.gates import u_chi, u_gate
 from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule, predicted_infidelity
-from geoloop.phases import BlochPath, solid_angle
+from geoloop.phases import (
+    BlochPath,
+    dynamical_phase,
+    geometric_phase,
+    is_cyclic,
+    sample_path,
+    solid_angle,
+    total_phase,
+)
 from geoloop.records import (
     ControlSegment,
     CouplingStep,
     InvalidFieldError,
+    Schedule,
     _Record,
     single_loop_schedule,
 )
-from geoloop.twoqubit import NmrParams, effective_field_a, nmr_hamiltonian, two_qubit_schedule
+from geoloop.schedule_io import parse_schedule
+from geoloop.twoqubit import (
+    NmrParams,
+    effective_field_a,
+    nmr_hamiltonian,
+    two_qubit_schedule,
+    two_qubit_unitary,
+)
 
 AWKWARD = st.sampled_from(
     [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-310, True, False, "1.0", "x"]
@@ -191,3 +208,110 @@ def test_perturb_schedule_names_a_trial_index_that_is_not_an_int_ge_0(trial_inde
 def test_solid_angle_of_coordinates_that_overflow(points):
     with pytest.raises(ValueError, match="^the edge sums overflow"):
         solid_angle(BlochPath(t=np.arange(float(len(points))), r=points))
+
+
+STATE = state_from_angles(0.3, 0.0, "plus")
+PATH = sample_path(LOOP, STATE, 10)
+PARAMS = NmrParams(5.0, 3.0, 0.8, accessory=1.0)
+# call -> the TypeError message it raises: one argument of each call has the wrong type.
+WRONG_TYPES = {
+    "schedule_unitary(list)": (
+        lambda: schedule_unitary([1, 2]), "sched must be a Schedule, got list"
+    ),
+    "segment_unitary(str)": (
+        lambda: segment_unitary("x"), "seg must be a ControlSegment, got str"
+    ),
+    "propagate(sched, None)": (
+        lambda: propagate(LOOP, None), "initial must be a QubitState, got NoneType"
+    ),
+    "propagate(list, state)": (
+        lambda: propagate(list(LOOP), STATE), "sched must be a Schedule, got list"
+    ),
+    "is_cyclic(list, state)": (
+        lambda: is_cyclic(list(LOOP), STATE), "sched must be a Schedule, got list"
+    ),
+    "total_phase(sched, None)": (
+        lambda: total_phase(LOOP, None), "initial must be a QubitState, got NoneType"
+    ),
+    "dynamical_phase(sched, vector)": (
+        lambda: dynamical_phase(LOOP, STATE.as_vector()),
+        "initial must be a QubitState, got ndarray",
+    ),
+    "geometric_phase(sched, None)": (
+        lambda: geometric_phase(LOOP, None), "initial must be a QubitState, got NoneType"
+    ),
+    "sample_path(empty list, state)": (
+        lambda: sample_path([], STATE, 10), "sched must be a Schedule, got list"
+    ),
+    "sample_path(sched, None)": (
+        lambda: sample_path(LOOP, None, 10), "initial must be a QubitState, got NoneType"
+    ),
+    "solid_angle(list)": (
+        lambda: solid_angle([[1, 0, 0]]), "path must be a BlochPath, got list"
+    ),
+    "solid_angle(points)": (lambda: solid_angle(PATH.r), "path must be a BlochPath, got ndarray"),
+    "two_qubit_unitary(Schedule)": (
+        lambda: two_qubit_unitary(Schedule()), "sched must be a ConditionalSchedule, got Schedule"
+    ),
+    "two_qubit_schedule(omega, None)": (
+        lambda: two_qubit_schedule(1.0, None), "p must be a NmrParams, got NoneType"
+    ),
+    "nmr_hamiltonian(None)": (
+        lambda: nmr_hamiltonian(None), "p must be a NmrParams, got NoneType"
+    ),
+    "effective_field_a(tuple, up)": (
+        lambda: effective_field_a((5.0, 3.0, 0.8, 1.0), "up"), "p must be a NmrParams, got tuple"
+    ),
+    "parse_schedule(None)": (lambda: parse_schedule(None), "text must be a str, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPES)
+def test_record_taking_calls_reject_an_argument_of_another_type(name):
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# call -> (the field its InvalidFieldError names, the message, unchanged).
+NAMED_FIELDS = {
+    "single_loop_schedule omega": (
+        lambda: single_loop_schedule(0.3, 0.0, 1.0),
+        "omega", "omega and omega2 must be finite and > 0",
+    ),
+    "single_loop_schedule omega2": (
+        lambda: single_loop_schedule(0.3, 1.0, math.nan),
+        "omega2", "omega and omega2 must be finite and > 0",
+    ),
+    "single_loop_schedule both": (
+        lambda: single_loop_schedule(0.3, -1.0, -1.0),
+        "omega", "omega and omega2 must be finite and > 0",
+    ),
+    "single_loop_schedule chi": (
+        lambda: single_loop_schedule(2.0, 1.0, 1.0), "chi", "chi out of range [0, pi/2], got 2.0"
+    ),
+    "two_qubit_schedule omega": (
+        lambda: two_qubit_schedule(0.0, PARAMS), "omega", "omega must be > 0, got 0.0"
+    ),
+    "sample_path samples_per_segment": (
+        lambda: sample_path(LOOP, STATE, 1),
+        "samples_per_segment", "samples_per_segment must be >= 2",
+    ),
+    "state_from_angles branch": (
+        lambda: state_from_angles(0.3, 0.0, "up"),
+        "branch", "branch must be 'plus' or 'minus', got 'up'",
+    ),
+    "effective_field_a b_state": (
+        lambda: effective_field_a(PARAMS, "plus"),
+        "b_state", "b_state must be 'up' or 'down', got 'plus'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_FIELDS)
+def test_argument_checks_name_their_field(name):
+    call, field, message = NAMED_FIELDS[name]
+    with pytest.raises(InvalidFieldError) as exc:
+        call()
+    assert (exc.value.field, str(exc.value)) == (field, message)

@@ -423,3 +423,58 @@ def test_coupling_step_is_a_z_rotation_at_two_pi_j():
 def test_conditional_schedule_mode_validation():
     with pytest.raises(ValueError):
         ConditionalSchedule(steps=(), mode="sideways")
+
+
+def entry_bits(rows) -> list:
+    """float.hex of the real and imaginary part of every entry, row by row."""
+    return [(z.real.hex(), z.imag.hex()) for row in rows for z in row]
+
+
+# The reference gates written out. -1j is complex(-0.0, -1.0): its real part is -0.0.
+U2_NATURAL = [
+    [-1j, 0j, 0j, 0j],
+    [0j, 1j, 0j, 0j],
+    [0j, 0j, 0j, -1 + 0j],
+    [0j, 0j, 1 + 0j, 0j],
+]
+U2_LINE_SELECTIVE = [
+    [-1j, 0j, 0j, 0j],
+    [0j, 1j, 0j, 0j],
+    [0j, 0j, 1 + 0j, 0j],
+    [0j, 0j, 0j, 1 + 0j],
+]
+
+
+def controlled_entries(chi: float) -> list:
+    """u_chi(chi)'s entries on b = up and the identity's on b = down."""
+    (a, b), (c, d) = u_chi(chi).tolist()
+    return [[a, b, 0j, 0j], [c, d, 0j, 0j], [0j, 0j, 1 + 0j, 0j], [0j, 0j, 0j, 1 + 0j]]
+
+
+REFERENCE_GATES = {
+    "u2_natural": (u2_natural, U2_NATURAL),
+    "u2_line_selective": (u2_line_selective, U2_LINE_SELECTIVE),
+    **{
+        f"controlled_u_reference({chi:.4g})": (
+            lambda chi=chi: controlled_u_reference(chi), controlled_entries(chi)
+        )
+        for chi in (0.0, 0.3, math.pi / 4, math.pi / 2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GATES)
+def test_reference_gate_bits(name):
+    gate, expected = REFERENCE_GATES[name]
+    u = gate()
+    assert (u.dtype, u.shape) == (np.complex128, (4, 4))
+    assert entry_bits(u.tolist()) == entry_bits(expected)
+
+
+@pytest.mark.parametrize("name", REFERENCE_GATES)
+def test_reference_gate_is_a_fresh_writable_array(name):
+    gate, expected = REFERENCE_GATES[name]
+    first, second = gate(), gate()
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[...] = 7.0
+    assert entry_bits(gate().tolist()) == entry_bits(expected)
