@@ -202,6 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Single-loop geometric quantum gate toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Arguments that commands share; a command lists its parents' arguments first.
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("schedule", help="schedule file")
+    state = argparse.ArgumentParser(add_help=False, parents=[file])
+    state.add_argument("--chi", required=True, help="initial-state polar angle")
+    state.add_argument("--phi", default="0", help="initial-state azimuth")
 
     p = sub.add_parser("synthesize", help="write a single-loop schedule file")
     p.add_argument("--chi", required=True, help="loop angle in [0, pi/2] (radians)")
@@ -210,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output schedule file")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("verify", help="compare a schedule's gate to a named target")
-    p.add_argument("schedule", help="schedule file")
+    p = sub.add_parser("verify", parents=[file],
+                       help="compare a schedule's gate to a named target")
     p.add_argument(
         "--target",
         required=True,
@@ -219,22 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("phase", help="total/dynamical/geometric phase report")
-    p.add_argument("schedule", help="schedule file")
-    p.add_argument("--chi", required=True, help="initial-state polar angle")
-    p.add_argument("--phi", default="0", help="initial-state azimuth")
+    p = sub.add_parser("phase", parents=[state], help="total/dynamical/geometric phase report")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("export-path", help="write the Bloch trajectory as CSV")
-    p.add_argument("schedule", help="schedule file")
-    p.add_argument("--chi", required=True, help="initial-state polar angle")
-    p.add_argument("--phi", default="0", help="initial-state azimuth")
+    p = sub.add_parser("export-path", parents=[state], help="write the Bloch trajectory as CSV")
     p.add_argument("--samples", type=int, default=100, help="samples per segment")
     p.add_argument("--out", required=True, help="output CSV file")
     p.set_defaults(func=cmd_export_path)
 
-    p = sub.add_parser("noise", help="Monte Carlo control-error fidelity sweep")
-    p.add_argument("schedule", help="schedule file")
+    p = sub.add_parser("noise", parents=[file], help="Monte Carlo control-error fidelity sweep")
     p.add_argument("--target", required=True, help="target gate, e.g. u_chi:pi/4")
     p.add_argument("--sigma-omega", type=float, default=0.0)
     p.add_argument("--sigma-tau", type=float, default=0.0)

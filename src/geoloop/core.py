@@ -121,6 +121,7 @@ def bloch_points(spinors: np.ndarray) -> np.ndarray:
 
 def bloch_vector(state: QubitState) -> BlochVector:
     """Map a normalized state to its Bloch vector; global phase drops out."""
+    check_type("state", state, QubitState)
     return BlochVector(*bloch_points(state.as_vector()).tolist())
 
 
@@ -184,6 +185,14 @@ def propagate(sched: Schedule, initial: QubitState) -> QubitState:
     check_type("initial", initial, QubitState)
     vec = schedule_unitary(sched) @ initial.as_vector()
     return QubitState(vec[0], vec[1])
+
+
+def as_matrix(field: str, value) -> np.ndarray:
+    """value as a complex array; TypeError naming field if numpy holds it as text or objects."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biufc":
+        raise TypeError(f"{field} must be an array of numbers, got {type(value).__name__}")
+    return array.astype(complex, copy=False)
 
 
 @functools.cache

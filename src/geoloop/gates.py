@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import unitarity_defect
+from .core import as_matrix, unitarity_defect
 from .records import _Record, _setfield, as_finite
 
 # Re-exported: perfbench/tracing.py times it as gates.single_loop_schedule.
@@ -82,10 +82,10 @@ def compare_gates(u: np.ndarray, v: np.ndarray) -> GateReport:
 
     u and v must be square matrices of one shape; any other pair of shapes
     raises DimensionMismatchError. A matrix with an infinite or NaN entry, or
-    a pair whose products overflow, raises ValueError.
+    a pair whose products overflow, raises ValueError; one that numpy holds as
+    text or objects raises TypeError (see ``core.as_matrix``).
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u, v = as_matrix("u", u), as_matrix("v", v)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"shapes {u.shape} and {v.shape} differ")
     if u.ndim != 2 or not u.shape[0] == u.shape[1] > 0:
@@ -110,10 +110,10 @@ def commutator_norm(u: np.ndarray, v: np.ndarray) -> float:
     """Frobenius norm of uv - vu.
 
     A matrix with an infinite or NaN entry, or a pair whose products
-    overflow, raises ValueError.
+    overflow, raises ValueError; one that numpy holds as text or objects
+    raises TypeError.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u, v = as_matrix("u", u), as_matrix("v", v)
     with np.errstate(all="ignore"):
         norm = float(np.linalg.norm(u @ v - v @ u, ord="fro"))
     if math.isfinite(norm):

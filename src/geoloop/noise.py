@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDENTITY_2, drive_arrays, su2, unitarity_defect
+from .core import IDENTITY_2, as_matrix, drive_arrays, su2, unitarity_defect
 from .records import (
     ControlSegment,
     InvalidFieldError,
@@ -330,9 +330,9 @@ def _block_traces(target_dag: np.ndarray, u: np.ndarray) -> np.ndarray:
 def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> SweepResult:
     """Trace fidelity |tr(target^dag U)| / 2 over perturbed realizations.
 
-    sched must be a Schedule and spec a NoiseSpec, or TypeError is raised.
-    target is a finite 2x2 gate, unitary to TARGET_UNITARITY_TOL; any
-    other target raises ValueError. Trial i propagates
+    sched must be a Schedule, spec a NoiseSpec and target an array of
+    numbers, or TypeError is raised. target is a finite 2x2 gate, unitary
+    to TARGET_UNITARITY_TOL; any other target raises ValueError. Trial i propagates
     ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
     its streams are hashed in batches rather than by one SeedSequence per
     trial. Trials are propagated in blocks of TRIAL_BLOCK: one ``su2`` call
@@ -345,7 +345,7 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     same, bit for bit, as if every trial ran.
     """
     _check_types(sched, spec)
-    target = np.asarray(target, dtype=complex)
+    target = as_matrix("target", target)
     if target.shape != (2, 2):
         raise ValueError(f"target must be a 2x2 gate, got shape {target.shape}")
     if not np.isfinite(target).all():

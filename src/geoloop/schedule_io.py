@@ -60,21 +60,6 @@ def _parse_int(literal: str):
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
 
 
-def _object(items, indent: int) -> str:
-    """A JSON object as json.dumps(indent=2) writes it at ``indent``: (key, value text) items."""
-    pad = " " * (indent + 2)
-    body = ",\n".join(f"{pad}{_quote(key)}: {value}" for key, value in items)
-    return "{\n" + body + "\n" + " " * indent + "}"
-
-
-def _array(entries, indent: int) -> str:
-    """A JSON array of value texts as json.dumps(indent=2) writes it at ``indent``."""
-    if not entries:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(entries) + "\n" + " " * indent + "]"
-
-
 class _Layout(NamedTuple):
     """The layout of one record kind, read by both the parser and the serializer."""
 
@@ -87,17 +72,12 @@ class _Layout(NamedTuple):
 def _layout(cls: type, fixed: dict, keys: dict, kind: str = "") -> _Layout:
     """A record kind's layout; a step's body is written under its ``kind`` key.
 
-    Records are entries of the file's top-level list, at indent 4.
+    The template is what json.dumps(indent=2) writes for the record, a %r
+    per number, indented by 4 as an entry of the file's top-level list.
     """
-
-    def body(indent: int) -> str:
-        return _object(
-            [(key, _array(["%r"] * 3, indent + 2) if key == "axis" else "%r") for key in keys],
-            indent,
-        )
-
-    template = _object([(kind, body(6))], 4) if kind else body(4)
-    return _Layout(cls, fixed, keys, template)
+    body = {key: [None] * 3 if key == "axis" else None for key in keys}
+    text = json.dumps({kind: body} if kind else body, indent=2)
+    return _Layout(cls, fixed, keys, text.replace("null", "%r").replace("\n", "\n    "))
 
 
 _SEGMENT = _layout(ControlSegment, {}, {"axis": "axis", "omega": "omega", "duration": "duration"})
@@ -112,7 +92,8 @@ _FILE_KEYS = {
     "two_qubit": ("version", "kind", "label", "mode", "steps"),
 }
 _FILE_TEMPLATES = {
-    kind: _object([(key, "%s") for key in keys], 0) + "\n" for kind, keys in _FILE_KEYS.items()
+    kind: json.dumps(dict.fromkeys(keys), indent=2).replace("null", "%s") + "\n"
+    for kind, keys in _FILE_KEYS.items()
 }
 
 
@@ -288,8 +269,9 @@ def serialize_schedule(sched: AnySchedule) -> str:
             entries.append(_entry(_STEPS[name], name, step))
     else:
         raise TypeError(f"cannot serialize {type(sched).__name__}")
+    records = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
     return _FILE_TEMPLATES[kind] % (
-        FORMAT_VERSION, _quote(kind), _quote(sched.label), *head, _array(entries, 2)
+        FORMAT_VERSION, _quote(kind), _quote(sched.label), *head, records
     )
 
 

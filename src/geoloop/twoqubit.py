@@ -159,6 +159,7 @@ def line_selective_unitary(sched: Schedule) -> np.ndarray:
 
     Its gate acts on b = up, the identity on b = down: a controlled gate.
     """
+    check_type("sched", sched, Schedule)
     return two_qubit_unitary(ConditionalSchedule(sched.segments, "line_selective"))
 
 

@@ -552,6 +552,28 @@ GOLDEN_STDOUT = {
         "772f1fae432a277de09918c5b0612b7c00c0d3ab63270a93288f643f814d2f71",
 }
 
+GOLDEN_HELP = {
+    # command -> sha256 of its --help text at COLUMNS=80, recorded while each
+    # command declared every argument itself; --help exits 0.
+    "synthesize": "bda7caa7724006676661621a2dfd65f0eb23661aeead810f4960c3a4bffe8fc1",
+    "verify": "60b95b58ca69fbcae6c623d0f186072d687275c1f1ce7b9be7e0f7211813d15d",
+    "phase": "4a35439a8e10033f88e4bb1f8b653f08e8a2c88ed692f6e0f10165ad0ddbb1f8",
+    "export-path": "a41ddbd8f30a17e28f433bf0c21403dec985ca733e35fd19fcfdd1643336d7a8",
+    "noise": "c0d832b88fe079bb13403ae8282cebd31d212953a695b652a78a10b742e8e559",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_HELP)
+def test_help_text(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_HELP[command]
+
+
 GOLDEN_FILES = {
     # file written by the setup's synthesize and by the export-path case above
     "loop.json": "8875acd186501e66f391caf2c57155bf5fdde7bd7d1928c45ccb66ef1d79b847",

@@ -16,6 +16,9 @@ argument they never passed.
 The calls that take records raise TypeError, naming the argument, for a
 value of another type: a schedule that is not a Schedule, a spec that is
 not a NoiseSpec, a state that is not a QubitState, and so on.
+A gate array that numpy holds as text or as objects (one with an integer
+beyond 64 bits, say) is of the wrong type too; a ragged list is a wrong
+value, with numpy's ValueError.
 solid_angle reads its points as unit vectors: coordinates whose edge
 sums overflow raise ValueError, without a warning.
 """
@@ -28,8 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.core import propagate, schedule_unitary, segment_unitary, state_from_angles
-from geoloop.gates import u_chi, u_gate
+from geoloop.core import (
+    bloch_vector,
+    propagate,
+    schedule_unitary,
+    segment_unitary,
+    state_from_angles,
+)
+from geoloop.gates import commutator_norm, compare_gates, u_chi, u_gate
 from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule, predicted_infidelity
 from geoloop.phases import (
     BlochPath,
@@ -52,6 +61,7 @@ from geoloop.schedule_io import parse_schedule
 from geoloop.twoqubit import (
     NmrParams,
     effective_field_a,
+    line_selective_unitary,
     nmr_hamiltonian,
     two_qubit_schedule,
     two_qubit_unitary,
@@ -263,6 +273,10 @@ WRONG_TYPES = {
         lambda: effective_field_a((5.0, 3.0, 0.8, 1.0), "up"), "p must be a NmrParams, got tuple"
     ),
     "parse_schedule(None)": (lambda: parse_schedule(None), "text must be a str, got NoneType"),
+    "bloch_vector(None)": (lambda: bloch_vector(None), "state must be a QubitState, got NoneType"),
+    "line_selective_unitary(list)": (
+        lambda: line_selective_unitary([]), "sched must be a Schedule, got list"
+    ),
 }
 
 
@@ -315,3 +329,37 @@ def test_argument_checks_name_their_field(name):
     with pytest.raises(InvalidFieldError) as exc:
         call()
     assert (exc.value.field, str(exc.value)) == (field, message)
+
+
+GATE = u_chi(0.3)
+# call -> the argument field it gives a bad gate array in.
+GATE_CALLS = {
+    "compare_gates": (lambda bad: compare_gates(bad, GATE), "u"),
+    "commutator_norm": (lambda bad: commutator_norm(GATE, bad), "v"),
+    "fidelity_sweep": (lambda bad: fidelity_sweep(LOOP, bad, SPEC), "target"),
+}
+# Gate arrays that numpy holds as text or as objects -> the type the message names.
+NON_NUMERIC_GATES = {
+    "text array": (GATE.astype(str), "ndarray"),
+    "text list": (GATE.astype(str).tolist(), "list"),
+    "text": ("a", "str"),
+    "None": (None, "NoneType"),
+    "object array": (GATE.astype(object), "ndarray"),
+    "integer beyond 64 bits": ([[10**400, 0], [0, 1]], "list"),
+}
+
+
+@pytest.mark.parametrize("case", NON_NUMERIC_GATES)
+@pytest.mark.parametrize("call", GATE_CALLS)
+def test_gate_arrays_of_text_or_objects_are_a_wrong_type(call, case):
+    run, field = GATE_CALLS[call]
+    bad, type_name = NON_NUMERIC_GATES[case]
+    with pytest.raises(TypeError) as exc:
+        run(bad)
+    assert str(exc.value) == f"{field} must be an array of numbers, got {type_name}"
+
+
+@pytest.mark.parametrize("call", GATE_CALLS)
+def test_ragged_gate_lists_are_a_wrong_value(call):
+    with pytest.raises(ValueError, match="inhomogeneous shape"):
+        GATE_CALLS[call][0]([[1, 0], [0]])
