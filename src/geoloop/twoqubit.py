@@ -114,8 +114,7 @@ def two_qubit_schedule(
     and an omega whose pulse duration overflows InvalidFieldError.
     """
     check_type("p", p, NmrParams)
-    j = p.coupling_j
-    check_coupling(j)  # before dividing by J
+    j = check_coupling(p.coupling_j)  # before dividing by J
     interval = 1.0 / (2.0 * j)
     if interval == math.inf:  # a subnormal J
         message = f"coupling interval 1/(2 J) overflows for coupling_j = {j!r}"

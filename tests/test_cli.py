@@ -27,6 +27,37 @@ def loop_file(tmp_path):
     return path
 
 
+# The float.hex of each unsigned pi-literal, recorded while parse_angle
+# multiplied and divided only by the parts the literal holds.
+PI_LITERAL_BITS = {
+    "pi": "0x1.921fb54442d18p+1",
+    "pi/2": "0x1.921fb54442d18p+0",
+    "pi/3": "0x1.0c152382d7365p+0",
+    "pi/0.5": "0x1.921fb54442d18p+2",
+    "pi/4.25": "0x1.7a78322220c53p-1",
+    "0pi": "0x0.0p+0",
+    "0pi/2": "0x0.0p+0",
+    "0pi/3": "0x0.0p+0",
+    "0pi/0.5": "0x0.0p+0",
+    "0pi/4.25": "0x0.0p+0",
+    "2pi": "0x1.921fb54442d18p+2",
+    "2pi/2": "0x1.921fb54442d18p+1",
+    "2pi/3": "0x1.0c152382d7365p+1",
+    "2pi/0.5": "0x1.921fb54442d18p+3",
+    "2pi/4.25": "0x1.7a78322220c53p+0",
+    "3.5pi": "0x1.5fdbbe9bba775p+3",
+    "3.5pi/2": "0x1.5fdbbe9bba775p+2",
+    "3.5pi/3": "0x1.d524fe24f89f1p+1",
+    "3.5pi/0.5": "0x1.5fdbbe9bba775p+4",
+    "3.5pi/4.25": "0x1.4b292bdddcac8p+1",
+    "10pi": "0x1.f6a7a2955385ep+4",
+    "10pi/2": "0x1.f6a7a2955385ep+3",
+    "10pi/3": "0x1.4f1a6c638d03fp+3",
+    "10pi/0.5": "0x1.f6a7a2955385ep+5",
+    "10pi/4.25": "0x1.d9163eaaa8f68p+2",
+}
+
+
 class TestParseAngle:
     @pytest.mark.parametrize(
         "text, expected",
@@ -42,6 +73,13 @@ class TestParseAngle:
     )
     def test_values(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("literal", PI_LITERAL_BITS)
+    def test_bits_pinned(self, sign, literal):
+        # A "-" literal is the negated value, -0.0 included.
+        expected = ("-" if sign == "-" else "") + PI_LITERAL_BITS[literal]
+        assert parse_angle(sign + literal).hex() == expected
 
     def test_rejects_garbage(self):
         from geoloop.cli import CliError
@@ -528,6 +566,49 @@ def test_run_leaves_through_sys_exit_when_a_flush_fails(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run()
     assert exc.value.code == 1
+
+
+def cli_process(loop_file, *argv, **popen):
+    """Popen of `python -m geoloop.cli ARGV` in the directory of loop_file."""
+    env = {**os.environ, "PYTHONPATH": str(Path(geoloop.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "geoloop.cli", *argv], env=env,
+                            cwd=loop_file.parent, stderr=subprocess.PIPE, text=True, **popen)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("chi, expected", [
+    ("pi/4", (2, "error: cannot write stdout: [Errno 28] No space left on device\n")),
+    # A command with nothing to print writes nothing: the full device goes unnoticed.
+    ("0", (1, "initial state not cyclic\n")),
+])
+def test_stdout_on_a_full_device(loop_file, chi, expected):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(loop_file, "phase", "loop.json", "--chi", chi, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == expected
+
+
+def test_stdout_pipe_closed_by_the_reader(loop_file):
+    # 200 000 rows are about 5 MB, far beyond a pipe's buffer: the write
+    # fails once the reader has gone, whenever it closes its end.
+    proc = cli_process(loop_file, "noise", "loop.json", "--target", "u_chi:pi/4",
+                       "--sigma-tau", "0.01", "--trials", "200000", stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_main_returns_2_when_stdout_cannot_be_written(loop_file, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main(["verify", str(loop_file), "--target", "u_chi:pi/4"]) == 2
+    assert sys.stderr.getvalue() == (
+        "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 GOLDEN_STDOUT = {

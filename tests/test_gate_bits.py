@@ -1,7 +1,7 @@
 """Bit pin of the gate layer: every gate, phase split and report, hashed exactly.
 
 A speed-up of the gate layer must leave these bits as they are; one that
-changes them waits for ROADMAP item 6's decision on output bits.
+changes them waits for ROADMAP item 5's decision on output bits.
 """
 
 import hashlib
