@@ -182,109 +182,81 @@ def sample_path(
 ) -> BlochPath:
     """Bloch trajectory with exact boundary points.
 
-    Each segment with nonzero duration turns the Bloch vector about its
-    axis by the closed form of segment_endpoints and adds
-    samples_per_segment - 1 points, sample j at the fraction j /
+    Each segment with nonzero duration, axis n and entry point r turns the
+    Bloch vector to (1, cos theta, sin theta) . B after the angle theta =
+    omega * t, with the Rodrigues basis B = ((n.r) n, r - (n.r) n, n x r).
+    It adds samples_per_segment - 1 points, sample j at the fraction j /
     (samples_per_segment - 1) of its duration: the path has 1 + (moving
     segments) * (samples_per_segment - 1) samples in total.
 
-    Segments of one exact (omega, duration) share each block's angles and
-    their cos and sin. The fraction, then the elapsed time, then the
-    absolute time are the IEEE operations of the whole-segment form, so no
-    point depends on the block size or on which segments share a shape.
+    One loop fills every row. Each segment's last two rows (one when
+    samples_per_segment is 2) come first, in schedule order: each segment
+    builds its basis from the row the previous one ended on and starts at
+    that row's time. The other rows follow in blocks of PATH_BLOCK, whose
+    scratch stays under malloc's mmap threshold, and the segments of one
+    exact (omega, duration) share each block's angles and their cos and
+    sin. numpy multiplies a one-row block by gemv, not gemm, and the two
+    can sign a zero coordinate differently, so a block has one row only
+    when its segment does: the last body block may run into the end rows
+    and write them again with the same bits. The fraction, then the elapsed
+    time, then the absolute time are the IEEE operations of the
+    whole-segment form, so no point depends on the block size or on which
+    segments share a shape.
     """
     check_type("sched", sched, Schedule)
     check_type("initial", initial, QubitState)
     per_segment = as_int("samples_per_segment", samples_per_segment, 2) - 1
     # Zero-duration segments add no samples: times must stay strictly
     # increasing and the points would be duplicates.
-    starts = []  # the start time of each moving segment
+    moving = []  # (segment, [its index]) of each moving segment, in schedule order
     shapes = {}  # (omega, duration) -> (one such segment, their indices)
     t0 = 0.0
     for seg in sched:
         if seg.duration > 0:
             key = seg.omega.hex(), seg.duration.hex()  # exact bits: omega -0.0 is not 0.0
-            shapes.setdefault(key, (seg, []))[1].append(len(starts))
-            starts.append(t0)
+            shapes.setdefault(key, (seg, []))[1].append(len(moving))
+            moving.append((seg, [len(moving)]))
         t0 += seg.duration
-    times = np.empty(1 + len(starts) * per_segment)
+    if not math.isfinite(t0):  # every time is at most this sum
+        raise ValueError("the schedule's total duration overflows")
+    times = np.empty(1 + len(moving) * per_segment)
     points = np.empty((len(times), 3))
     times[0] = 0.0
     points[0] = bloch_points(initial.as_vector())
-    if not starts:
+    if not moving:
         return BlochPath(t=times, r=points)
-    _, bases = segment_endpoints(sched, points[0], per_segment)
-    # Only a one-row segment gets a one-row block (see segment_endpoints),
-    # and a one-row tail is done as the last two rows.
+    bases = np.empty((len(moving), 3, 3))
+    ends = max(per_segment - 2, 0)  # the end rows' offset; every body block starts before it
     block = min(max(PATH_BLOCK, 2), per_segment)
     theta = np.empty(block)
     coeffs = np.ones((block, 3))  # rows (1, cos theta, sin theta)
-    for lo in range(0, per_segment, block):
-        if lo == per_segment - 1 and lo > 0:
-            lo -= 1  # a one-row tail
+    for lo, groups in [(ends, moving)] + [(lo, shapes.values()) for lo in range(0, ends, block)]:
         m = min(block, per_segment - lo)
         fraction = np.arange(lo + 1.0, lo + m + 1.0)  # exact integers
         fraction /= per_segment
-        for seg, ks in shapes.values():
+        for seg, ks in groups:
             rows = [slice(1 + k * per_segment + lo, 1 + k * per_segment + lo + m) for k in ks]
             np.multiply(fraction, seg.duration, out=theta[:m])  # the elapsed times
-            for k, r in zip(ks, rows):
-                np.add(theta[:m], starts[k], out=times[r])
+            for k, r in zip(ks, rows):  # each starts at the time the one before ended
+                np.add(theta[:m], times[k * per_segment], out=times[r])
             theta[:m] *= seg.omega
             np.cos(theta[:m], out=coeffs[:m, 1])
             np.sin(theta[:m], out=coeffs[:m, 2])
             for k, r in zip(ks, rows):
+                if lo == ends:  # the end rows: first the basis, from the entry point r
+                    # numpy's dot, for its rounding, then the rows in Python floats:
+                    # the IEEE operations of (n.r) n, r - (n.r) n and np.cross,
+                    # without numpy's per-call cost.
+                    dot = float(np.asarray(seg.axis) @ points[k * per_segment])
+                    (nx, ny, nz), (x, y, z) = seg.axis, points[k * per_segment].tolist()
+                    ax, ay, az = dot * nx, dot * ny, dot * nz
+                    bases[k, 0] = ax, ay, az
+                    bases[k, 1] = x - ax, y - ay, z - az
+                    bases[k, 2] = ny * z - nz * y, nz * x - nx * z, nx * y - ny * x
                 np.matmul(coeffs[:m], bases[k], out=points[r])
         del fraction  # before the next block's, so that one block's is alive at a time
     del theta, coeffs  # before BlochPath's checks allocate their own buffers
     return BlochPath(t=times, r=points)
-
-
-def segment_endpoints(
-    sched: Schedule, r0: np.ndarray, per_segment: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entry points and Rodrigues bases of the segments with nonzero duration.
-
-    Walks the schedule from the Bloch vector r0. A moving segment with axis
-    n entered at r turns it to (1, cos theta, sin theta) . B after the angle
-    theta = omega * t, with the basis B = ((n.r) n, r - (n.r) n, n x r); it
-    ends at theta = omega * duration, where the next one starts. Each end
-    point is the second of two rows, at the fractions (per_segment - 1) /
-    per_segment and 1 of the duration (one row, at 1, when per_segment is
-    1), with the angles and the kind of matrix product that sample_path
-    gives the segment's final block. So the entry points are, bit for bit,
-    the rows on which a path of per_segment + 1 samples per segment ends
-    its segments.
-
-    Returns the points, shape (moving + 1, 3): each moving segment's entry
-    point, then the end of the last one; and the bases, shape (moving, 3, 3).
-    """
-    segments = [seg for seg in sched if seg.duration > 0]
-    points = np.empty((len(segments) + 1, 3))
-    bases = np.empty((len(segments), 3, 3))
-    points[0] = r0
-    # numpy multiplies a one-row block by gemv, not gemm, and the two can give
-    # a zero coordinate opposite signs. So a final block has one row only
-    # when per_segment is 1, and at least two otherwise.
-    fractions = np.arange(max(per_segment - 1, 1), per_segment + 1.0) / per_segment
-    # The end rows' angles of every segment at once: fraction * duration * omega.
-    drives = np.array([(seg.duration, seg.omega) for seg in segments]).reshape(-1, 2, 1)
-    theta = fractions * drives[:, 0] * drives[:, 1]
-    coeffs = np.ones(theta.shape + (3,))  # rows (1, cos theta, sin theta)
-    np.cos(theta, out=coeffs[..., 1])
-    np.sin(theta, out=coeffs[..., 2])
-    for k, seg in enumerate(segments):
-        r, basis = points[k], bases[k]
-        dot = float(np.asarray(seg.axis) @ r)  # numpy's dot, for its rounding
-        # The rows in Python floats: the IEEE operations of (n.r) n, r - (n.r) n
-        # and np.cross, without numpy's per-call cost.
-        (nx, ny, nz), (x, y, z) = seg.axis, r.tolist()
-        ax, ay, az = dot * nx, dot * ny, dot * nz
-        basis[0] = ax, ay, az
-        basis[1] = x - ax, y - ay, z - az
-        basis[2] = ny * z - nz * y, nz * x - nx * z, nx * y - ny * x
-        points[k + 1] = (coeffs[k] @ basis)[-1]
-    return points, bases
 
 
 def _chain_phase(

@@ -167,6 +167,18 @@ def test_mutated_schedule_file(tmp_path, capsys, case):
         assert offset == key_offset(doc, path, key, token), (err, path, token)
 
 
+def test_export_path_of_a_total_duration_that_overflows(tmp_path, capsys):
+    # Every field is in range, but the durations sum past the largest float.
+    seg = {"axis": [0, 0, 1], "omega": 1e-300, "duration": 1.5e308}
+    file = tmp_path / "long.json"
+    file.write_text(json.dumps({"version": 1, "kind": "single_qubit", "segments": [seg, seg]}))
+    argv = ["export-path", str(file), "--chi", "pi/4", "--samples", "3",
+            "--out", str(tmp_path / "p.csv")]
+    rc, out, err, caught = run(capsys, argv)
+    check_clean_exit(rc, out, err, caught, tmp_path)
+    assert (rc, err) == (2, "error: the schedule's total duration overflows\n")
+
+
 # Argument templates: "{}" is the mutated value.
 ARGUMENTS = [
     ["synthesize", "--chi", "{}", "--omega", "1", "--omega2", "1", "--out", "{tmp}/s.json"],

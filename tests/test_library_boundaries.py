@@ -20,11 +20,13 @@ A gate array that numpy holds as text or as objects (one with an integer
 beyond 64 bits, say) is of the wrong type too; a ragged list is a wrong
 value, with numpy's ValueError.
 solid_angle reads its points as unit vectors: coordinates whose edge
-sums overflow raise ValueError, without a warning.
+sums overflow raise ValueError, without a warning. So does sample_path
+for a schedule whose total duration overflows.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,16 @@ def test_perturb_schedule_names_a_trial_index_that_is_not_an_int_ge_0(trial_inde
 def test_solid_angle_of_coordinates_that_overflow(points):
     with pytest.raises(ValueError, match="^the edge sums overflow"):
         solid_angle(BlochPath(t=np.arange(float(len(points))), r=points))
+
+
+def test_sample_path_of_a_total_duration_that_overflows():
+    # Each segment's angle is small and its duration finite, but their sum
+    # is not: numpy used to warn on the sample times before BlochPath raised.
+    seg = ControlSegment((0.0, 0.0, 1.0), 1e-300, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the schedule's total duration overflows$"):
+            sample_path(Schedule(segments=(seg, seg)), STATE, 3)
 
 
 STATE = state_from_angles(0.3, 0.0, "plus")

@@ -411,18 +411,6 @@ class TestSamplePath:
             digest.update(path.r.tobytes())
         assert digest.hexdigest() == PINNED_PATH_DIGEST
 
-    def test_segment_endpoints_are_the_path_rows(self):
-        # Each moving segment's entry point, and the last one's end, is the
-        # path row it ends on, bit for bit. The last case ends its segments
-        # on a zero that a one-row (gemv) product would sign differently.
-        seg = ControlSegment((-1.7697072924085078e-160, 0.0, 1.0), 1.0, 6.396503550355308e-202)
-        signed_zeros = (Schedule(segments=(seg, seg)), state_from_angles(0.0, 0.0, "minus"), 3)
-        for sched, state, samples in [*pinned_path_cases(), signed_zeros]:
-            path = sample_path(sched, state, samples)
-            ends, bases = phases.segment_endpoints(sched, path.r[0], samples - 1)
-            assert ends.tobytes() == path.r[:: samples - 1].tobytes()
-            assert bases.shape == (len(ends) - 1, 3, 3)
-
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             sample_path(Schedule(), QubitState(1, 0), 1)
@@ -467,16 +455,19 @@ class TestSamplePath:
         assert path.t.tobytes() == times.tobytes()
         assert path.r.tobytes() == points.tobytes()
 
-    # A one-row block: first every block (block 1), then the tail of 4097 rows.
+    # Where a fill could use a one-row block: every block at block size 1, and
+    # the row after a whole block of 4096 when a segment has 4097 rows.
     @pytest.mark.parametrize("samples, block", [(3, 1), (4098, 4096)])
     def test_signed_zeros_independent_of_block_size(self, monkeypatch, samples, block):
         # The y coordinate sums three zeros of mixed sign, and numpy's one-row
-        # matmul (gemv) can give it the opposite sign to the many-row one.
+        # matmul (gemv) can give it the opposite sign to the many-row one. The
+        # second segment's basis is built from the zero its first one ends on.
         seg = ControlSegment((-1.7697072924085078e-160, 0.0, 1.0), 1.0, 6.396503550355308e-202)
-        sched, state = Schedule(segments=(seg,)), state_from_angles(0.0, 0.0, "minus")
-        times, points = whole_segment_path(sched, state, samples)
+        state = state_from_angles(0.0, 0.0, "minus")
         monkeypatch.setattr(phases, "PATH_BLOCK", block)
-        assert sample_path(sched, state, samples).r.tobytes() == points.tobytes()
+        for sched in Schedule(segments=(seg,)), Schedule(segments=(seg, seg)):
+            times, points = whole_segment_path(sched, state, samples)
+            assert sample_path(sched, state, samples).r.tobytes() == points.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(schedules, initial_states, st.integers(2, 40), st.integers(1, 8))
