@@ -31,15 +31,22 @@ from .records import (
     check_type,
 )
 
-# Trials seeded and propagated together by fidelity_sweep. A seed-hash
-# call costs about 0.1 ms however few trials it covers, so blocks amortize
-# it and numpy's per-call cost over hundreds of trials, while keeping a
-# sweep's temporaries under 0.5 MB however many trials it runs.
+# Trials seeded, drawn and propagated together by fidelity_sweep. The seed
+# hash and the streams' array arithmetic (_fast_draws) cost 0.1-0.3 ms a
+# call however few trials it covers, so blocks amortize them and numpy's
+# per-call cost over hundreds of trials, while keeping a sweep's
+# temporaries under 0.5 MB however many trials it runs (a test checks it).
 TRIAL_BLOCK = 512
 # Largest unitarity defect of a sweep's target: the tolerance gates are
 # certified to, so a fidelity cannot exceed 1 by more than about this.
 TARGET_UNITARITY_TOL = 1e-12
 
+# Longest schedule whose draws _block_draws computes as array arithmetic.
+# A draw misses the ziggurat's fast path, leaving its trial to numpy, about
+# 1.8% of the time: at 12 segments (24 draws) numpy draws a third of the
+# trials again, and from about 16 segments the arithmetic costs more than
+# the Generators it saves.
+_FAST_SEGMENTS = 12
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -249,15 +256,137 @@ def _seed_rows_type() -> type:
     return SeedRows
 
 
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(width, bound): numpy's ziggurat widths wi and checked lower bounds of its ki.
+
+    numpy's standard_normal, a 256-layer ziggurat (Marsaglia & Tsang,
+    J. Stat. Softw. 5(8), 2000), reads a 64-bit output r as layer = r &
+    0xff, a sign in bit 8 and rabs = r >> 9 (52 bits). When rabs <
+    ki[layer] it returns +-rabs * wi[layer], having consumed r alone;
+    otherwise it consumes more outputs. No table value is written here:
+    both are read from numpy, once per process (about 1 ms), by two
+    standard_normal calls on an MT19937 whose key holds the untempered
+    words of chosen outputs.
+
+    - The first reads wi[layer] at rabs = 1, for every layer but 1, whose
+      fast path is empty (ki[1] = 0).
+    - With the layers' edges x = wi * 2**52, ki[layer] is about 2**52 *
+      x[layer - 1] / x[layer], where layer 0 (the base strip) takes
+      x[-1] = x[255], the tail's start. A few units less is a candidate.
+    - The second call keeps a candidate only if numpy returns
+      (bound - 1) * wi[layer] for it.
+
+    Layer 2's candidate needs wi[1], so layers 1 and 2 get bound 0, and if
+    either call consumed more than one output per normal, every bound is 0.
+    """
+    from numpy.random import MT19937, Generator
+
+    bitgen = MT19937(0)
+
+    def normals(outputs: np.ndarray) -> tuple[np.ndarray, bool]:
+        # numpy's mt19937_next64 takes the high word first; tempering is inverted here.
+        key = np.zeros(624, dtype=np.uint32)
+        y = outputs.astype(">u8").view(">u4").astype(np.uint32)
+        y ^= y >> 18
+        y ^= y << 15 & 0xEFC60000
+        x = y
+        for _ in range(4):  # each pass inverts 7 more bits
+            x = y ^ (x << 7 & 0x9D2C5680)
+        key[: len(y)] = x ^ x >> 11 ^ x >> 22
+        bitgen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+        values = Generator(bitgen).standard_normal(len(outputs))
+        return values, bitgen.state["state"]["pos"] == len(y)
+
+    layers = np.append(0, np.arange(2, 256))
+    width, bound = np.zeros(256), np.zeros(256, dtype=np.int64)
+    width[layers], whole = normals(layers | 1 << 9)
+    with np.errstate(divide="ignore", invalid="ignore"):  # width[-1] is width[255]
+        candidate = np.floor(width[layers - 1] / width[layers] * 2**52) - 4
+    keep = whole & (candidate >= 1) & (candidate < 2**52)
+    layers, rabs = layers[keep], candidate[keep].astype(np.int64) - 1
+    values, whole = normals(layers | rabs << 9)
+    bound[layers] = (rabs + 1) * (whole & (values == rabs * width[layers]))
+    return width, bound
+
+
+# numpy's PCG64 (O'Neill, 2014): a 128-bit LCG stepped before each output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _lcg_jumps(outputs: int) -> np.ndarray:
+    """[P, Q]: PCG64's state before output k is P[k] * initstate + Q[k] * inc.
+
+    numpy's pcg64_set_seed leaves state (initstate + inc) * M + inc, and
+    each output first steps state -> state * M + inc, so P[k] = M**(k + 2)
+    and Q[k] = M**(k + 2) + ... + M + 1, mod 2**128. Each is a (hi, lo)
+    pair of uint64 words of shape (outputs, 1).
+    """
+    power, total, rows = _PCG_MULT, _PCG_MULT + 1, []
+    for _ in range(outputs):
+        power = power * _PCG_MULT % 2**128
+        total = (total + power) % 2**128
+        rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
+    return np.array(rows, dtype=np.uint64).T.reshape(2, 2, outputs, 1)
+
+
+def _fast_draws(words: np.ndarray, jumps: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Fill draws from the ziggurat's fast path; return which trials it vouches for.
+
+    words are ``_seed_words`` rows, jumps ``_lcg_jumps(draws[0].size)``.
+    Row i's first draws[0].size PCG64 outputs go through numpy's fast path,
+    bit for bit; a trial with an output at or past ``_ziggurat_tables``'
+    bound is marked False, and its row of draws is left to numpy. The
+    128-bit states hi:lo = P * initstate + Q * inc and the outputs are
+    computed in place, in four (outputs, trials) uint64 buffers.
+    """
+    width, bound = _ziggurat_tables()
+    hi, lo, s, t = np.zeros((4, jumps.shape[2], len(words)), dtype=np.uint64)
+    w0, w1, w2, w3 = words.T
+    for (a_hi, a_lo), (b_hi, b_lo) in zip(jumps, ((w0, w1), (w2 << 1 | w3 >> 63, w3 << 1 | 1))):
+        a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+        # hi:lo += a * b. The high word of a_lo * b_lo comes from the 32-bit
+        # halves without overflow: t is the middle word, whose high half carries.
+        np.multiply(a1, b0, out=t)
+        t += np.right_shift(np.multiply(a0, b0, out=s), 32, out=s)
+        hi += np.right_shift(t, 32, out=s)
+        t &= _MASK32
+        t += np.multiply(a0, b1, out=s)
+        hi += np.right_shift(t, 32, out=t)
+        for x, y in ((a1, b1), (a_hi, b_lo), (a_lo, b_hi)):
+            hi += np.multiply(x, y, out=s)
+        lo += np.multiply(a_lo, b_lo, out=s)
+        hi += lo < s
+    # XSL-RR: each output is rotr(hi ^ lo, hi >> 58).
+    lo ^= hi
+    hi >>= 58
+    np.left_shift(lo, np.bitwise_and(np.subtract(64, hi, out=s), 63, out=s), out=s)
+    lo >>= hi
+    lo |= s
+    layer = np.bitwise_and(lo, 0xFF, out=t).view(np.int64)
+    rabs = np.bitwise_and(np.right_shift(lo, 9, out=s), 2**52 - 1, out=s).view(np.int64)
+    fast = (rabs < bound[layer]).all(axis=0)
+    normals = np.multiply(rabs, width[layer], out=hi.view(np.float64))
+    hi |= np.bitwise_and(np.left_shift(lo, 55, out=lo), 2**63, out=lo)  # the sign bit
+    draws.reshape(len(words), -1)[...] = normals.T
+    return fast
+
+
 def _block_draws(spec: NoiseSpec, segments: int, trials: int):
     """Yield (trial slice, draws) for every TRIAL_BLOCK of trials 0 .. trials - 1.
 
     draws[i] holds trial i's (eps, delta) per segment, in that order: the
     standard normals of a PCG64 seeded exactly as default_rng([seed, i]),
     which is what ``perturb_schedule`` draws, or zeros when both sigmas are
-    zero. The streams' seed words are hashed one block at a time.
+    zero or there are no segments. The streams' seed words are hashed one
+    block at a time. Up to _FAST_SEGMENTS segments, ``_fast_draws``
+    computes each block's streams and their normals as array arithmetic,
+    and a trial it cannot vouch for (13% of them at 4 segments) is drawn
+    again by a numpy Generator, so every bit comes either from a checked
+    fast path or from numpy. Longer schedules leave every trial to numpy.
     """
-    noisy = _noisy(spec)
+    noisy = _noisy(spec) and segments > 0
+    jumps = _lcg_jumps(2 * segments) if noisy and segments <= _FAST_SEGMENTS else None
     for start in range(0, trials, TRIAL_BLOCK):
         stop = min(start + TRIAL_BLOCK, trials)
         draws = np.zeros((stop - start, segments, 2))
@@ -265,9 +394,12 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
             from numpy.random import PCG64, Generator
 
             words = _seed_words(spec.seed & _MASK64, np.arange(start, stop))
-            rows = _seed_rows_type()(words)
-            for row in draws:
-                Generator(PCG64(rows)).standard_normal(out=row)
+            slow = np.arange(stop - start)
+            if jumps is not None:
+                slow = np.flatnonzero(~_fast_draws(words, jumps, draws))
+            rows = _seed_rows_type()(words[slow])
+            for i in slow:
+                Generator(PCG64(rows)).standard_normal(out=draws[i])
         yield slice(start, stop), draws
 
 
@@ -331,8 +463,11 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     to TARGET_UNITARITY_TOL; any other target raises ValueError. Trial i propagates
     ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
     its streams are hashed in batches rather than by one SeedSequence per
-    trial. Trials are propagated in blocks of TRIAL_BLOCK: one ``su2`` call
-    per block, then ``_block_product`` and ``_block_traces``, which keep the
+    trial, and ``_block_draws`` computes the normals as array arithmetic
+    (numpy's PCG64 and its ziggurat's fast path), leaving to a numpy
+    Generator only the trials that arithmetic cannot vouch for. Trials are
+    propagated in blocks of TRIAL_BLOCK: one ``su2`` call per block, then
+    ``_block_product`` and ``_block_traces``, which keep the
     bits of ``core.ordered_product`` and of the stacked product target^dag
     @ U. An elementwise trace would save only 1-2% of a sweep and changes
     bits, which waits on ROADMAP item 5. With both sigmas zero every trial

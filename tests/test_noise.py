@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from geoloop.noise import (
     _block_draws,
     _block_product,
     _block_traces,
+    _fast_draws,
+    _lcg_jumps,
     _nominal_drives,
     _perturbed_drives,
     _seed_words,
+    _ziggurat_tables,
     fidelity_sweep,
     perturb_schedule,
     predicted_infidelity,
@@ -194,8 +198,14 @@ class TestFidelitySweep:
         result = fidelity_sweep(Schedule(), np.eye(2), spec)
         assert result.fidelities == (1.0,) * 5
 
-    def test_empty_schedule_reads_the_target_trace_every_trial(self):
+    def test_empty_schedule_reads_the_target_trace_every_trial(self, monkeypatch):
         # 513 noisy trials: a whole block of the broadcast identity, then one.
+        # No segment draws, so no stream is seeded or built.
+        def no_stream(*args):
+            raise AssertionError("an empty schedule draws nothing")
+
+        monkeypatch.setattr(noise, "_seed_words", no_stream)
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
         target = np.diag(np.exp([-0.4j, 0.7j]))
         spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 1, seed=3)
         expected = abs(np.trace(target.conj().T)) / 2
@@ -238,6 +248,19 @@ class TestFidelitySweep:
         result = fidelity_sweep(LOOP, target, NoiseSpec(sigma_tau=0.01, trials=3, seed=1))
         assert len(result.fidelities) == 3
 
+    def test_sweep_temporaries_stay_under_half_a_megabyte(self):
+        # TRIAL_BLOCK's promise, at the benchmark's 2000 trials of the paper
+        # loop; the first sweep loads numpy.random and the ziggurat tables.
+        spec = NoiseSpec(sigma_omega=0.02, sigma_tau=0.01, trials=2000, seed=7)
+        fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
+        tracemalloc.start()
+        try:
+            fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
+
     def test_summary_statistics(self):
         spec = NoiseSpec(sigma_tau=0.05, trials=50, seed=3)
         result = fidelity_sweep(LOOP, u_chi(math.pi / 4), spec)
@@ -274,15 +297,67 @@ class TestBatchedSeeding:
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("seed", [0, -5, 2**40, 2**64 + 3])
+    @pytest.mark.parametrize(
+        "seed", [0, -5, 2**32 - 1, 2**32, 2**40, 2**63, 2**64 - 1, 2**64 + 3]
+    )
     def test_sweep_draws_match_default_rng(self, seed):
-        # Crosses a trial block, whose seeds are hashed together.
-        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 5, seed=seed)
-        draws = np.concatenate([d for _, d in _block_draws(spec, len(LOOP), spec.trials)])
-        assert draws.shape == (spec.trials, len(LOOP), 2)
-        for trial in [0, TRIAL_BLOCK // 4, TRIAL_BLOCK - 1, TRIAL_BLOCK, spec.trials - 1]:
-            rng = np.random.default_rng([seed & (2**64 - 1), trial])
-            assert np.array_equal(draws[trial], rng.standard_normal((len(LOOP), 2)))
+        # Every draw of every trial, across a trial block, whose seeds are
+        # hashed together, and of trials the ziggurat's fast path leaves to
+        # numpy: each is its stream's normals, bit for bit.
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 40, seed=seed)
+        words = _seed_words(seed & (2**64 - 1), np.arange(spec.trials))
+        left_to_numpy = 0
+        for segments in range(8):
+            draws = np.concatenate([d for _, d in _block_draws(spec, segments, spec.trials)])
+            assert draws.shape == (spec.trials, segments, 2)
+            for trial in range(spec.trials):
+                rng = np.random.default_rng([seed & (2**64 - 1), trial])
+                expected = rng.standard_normal((segments, 2))
+                assert draws[trial].tobytes() == expected.tobytes(), (segments, trial)
+            if segments:  # an empty schedule draws nothing
+                fast = _fast_draws(words, _lcg_jumps(2 * segments), np.empty_like(draws))
+                left_to_numpy += np.count_nonzero(~fast)
+            if segments == 4:
+                # About 13%: a numpy whose tables fail the reader's checks
+                # shows here, not as a silent slowdown.
+                assert np.count_nonzero(~fast) <= 0.2 * spec.trials
+        assert left_to_numpy > 0
+
+    @pytest.mark.parametrize("segments", [noise._FAST_SEGMENTS, noise._FAST_SEGMENTS + 1])
+    def test_long_schedules_leave_every_trial_to_numpy(self, segments, monkeypatch):
+        # Past _FAST_SEGMENTS most trials would miss the fast path, so no
+        # trial takes it; the draws are the same either side.
+        calls = []
+        fast_draws = noise._fast_draws
+        monkeypatch.setattr(noise, "_fast_draws", lambda *a: calls.append(a) or fast_draws(*a))
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=40, seed=9)
+        draws = np.concatenate([d for _, d in _block_draws(spec, segments, spec.trials)])
+        for trial in range(spec.trials):
+            expected = np.random.default_rng([9, trial]).standard_normal((segments, 2))
+            assert draws[trial].tobytes() == expected.tobytes()
+        assert len(calls) == (segments <= noise._FAST_SEGMENTS)
+
+    def test_ziggurat_tables_match_numpy_fast_path(self):
+        # Independent of the MT19937 reader: a PCG64 set through its public
+        # state so that its next output is chosen. A state whose high word
+        # is 0 makes XSL-RR output its low word as it is, and advance(-1)
+        # steps back one, so that the next output is that state's.
+        from numpy.random import PCG64, Generator
+
+        width, bound = _ziggurat_tables()
+        assert bound[1] == bound[2] == 0
+        assert np.count_nonzero(bound) == 254
+        bitgen = PCG64(0)
+        layers = np.flatnonzero(bound)[np.linspace(0, 253, 20).astype(int)]
+        for k, layer in enumerate(layers.tolist()):
+            sign, rabs = k % 2, int(bound[layer]) - 1
+            output = rabs << 9 | sign << 8 | layer
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": output, "inc": 2 * k + 1},
+                            "has_uint32": 0, "uinteger": 0}
+            bitgen.advance(-1)
+            value = Generator(bitgen).standard_normal()
+            assert bitgen.state["state"]["state"] == output  # one output consumed
+            assert value == (-1) ** sign * (rabs * width[layer]), layer
 
     def test_blocks_tile_the_sweep(self):
         spec = NoiseSpec(sigma_tau=0.1, trials=2 * TRIAL_BLOCK + 1, seed=3)
