@@ -88,9 +88,12 @@ class SweepResult:
     spec: NoiseSpec
 
 
-def _noisy(spec: NoiseSpec) -> bool:
-    """Whether trials draw anything: with both sigmas zero, none does."""
-    return spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0
+def _noisy(spec: NoiseSpec, segments: int) -> bool:
+    """Whether trials draw: only when the schedule has a segment and a sigma is nonzero.
+
+    Otherwise every trial propagates the unperturbed schedule.
+    """
+    return segments > 0 and (spec.sigma_omega != 0.0 or spec.sigma_tau != 0.0)
 
 
 def _check_types(sched: Schedule, spec: NoiseSpec) -> None:
@@ -99,25 +102,19 @@ def _check_types(sched: Schedule, spec: NoiseSpec) -> None:
     check_type("spec", spec, NoiseSpec)
 
 
-def _nominal_drives(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Unperturbed (omega, tau) of every segment, each of shape (len(sched),)."""
+def _perturbed_drives(
+    sched: Schedule, spec: NoiseSpec, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed (omega, tau) of every segment of sched from standard normal draws.
+
+    draws has shape (trials, len(sched), 2) and holds each segment's (eps,
+    delta): omega -> omega * (1 + sigma_omega * eps), tau -> tau * (1 +
+    sigma_tau * delta), clamped at zero so segment invariants survive large
+    draws. Both arrays returned have shape (trials, len(sched)). A draw
+    whose angle omega * tau overflows raises ValueError, not a warning.
+    """
     omega = np.array([seg.omega for seg in sched], dtype=float)
     tau = np.array([seg.duration for seg in sched], dtype=float)
-    return omega, tau
-
-
-def _perturbed_drives(
-    omega: np.ndarray, tau: np.ndarray, spec: NoiseSpec, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed (omega, tau) of every segment from standard normal draws.
-
-    omega and tau are the nominal drives (``_nominal_drives``). draws has
-    shape (trials, len(sched), 2) and holds each segment's (eps, delta):
-    omega -> omega * (1 + sigma_omega * eps), tau -> tau * (1 + sigma_tau *
-    delta), clamped at zero so segment invariants survive large draws. Both
-    arrays returned have shape (trials, len(sched)). A draw whose angle
-    omega * tau overflows raises ValueError, not a warning.
-    """
     with np.errstate(over="ignore", invalid="ignore"):
         omega = np.maximum(omega * (1.0 + spec.sigma_omega * draws[..., 0]), 0.0)
         tau = np.maximum(tau * (1.0 + spec.sigma_tau * draws[..., 1]), 0.0)
@@ -133,18 +130,19 @@ def perturb_schedule(sched: Schedule, spec: NoiseSpec, trial_index: int) -> Sche
     delta), clamped at zero, with independent Gaussian eps, delta per
     segment; axes are untouched. The trial draws (eps, delta) per segment,
     in that order, from its own stream default_rng([seed, trial_index])
-    (seed taken mod 2**64), so it depends only on (seed, trial_index); with
-    both sigmas zero nothing is drawn. It is the schedule that trial
-    trial_index of ``fidelity_sweep`` propagates. trial_index must be an
-    int >= 0, or InvalidFieldError names it.
+    (seed taken mod 2**64), so it depends only on (seed, trial_index). A
+    trial draws only when the schedule has a segment and a sigma is
+    nonzero; otherwise no stream is built and the copy equals sched. It is
+    the schedule that trial trial_index of ``fidelity_sweep`` propagates.
+    trial_index must be an int >= 0, or InvalidFieldError names it.
     """
     _check_types(sched, spec)
     trial_index = as_int("trial_index", trial_index, 0)  # an int, as SeedSequence takes
     draws = np.zeros((1, len(sched), 2))
-    if _noisy(spec):
+    if _noisy(spec, len(sched)):
         rng = np.random.default_rng([spec.seed & _MASK64, trial_index])
         rng.standard_normal(out=draws[0])
-    omega, tau = _perturbed_drives(*_nominal_drives(sched), spec, draws)
+    omega, tau = _perturbed_drives(sched, spec, draws)
     segments = tuple(
         ControlSegment(seg.axis, w, t)
         for seg, w, t in zip(sched, omega[0].tolist(), tau[0].tolist())
@@ -377,15 +375,16 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
 
     draws[i] holds trial i's (eps, delta) per segment, in that order: the
     standard normals of a PCG64 seeded exactly as default_rng([seed, i]),
-    which is what ``perturb_schedule`` draws, or zeros when both sigmas are
-    zero or there are no segments. The streams' seed words are hashed one
-    block at a time. Up to _FAST_SEGMENTS segments, ``_fast_draws``
-    computes each block's streams and their normals as array arithmetic,
-    and a trial it cannot vouch for (13% of them at 4 segments) is drawn
-    again by a numpy Generator, so every bit comes either from a checked
-    fast path or from numpy. Longer schedules leave every trial to numpy.
+    which is what ``perturb_schedule`` draws, or zeros when trials do not
+    draw (``_noisy``: no segment, or both sigmas zero). The streams' seed
+    words are hashed one block at a time. Up to _FAST_SEGMENTS segments,
+    ``_fast_draws`` computes each block's streams and their normals as
+    array arithmetic, and a trial it cannot vouch for (13% of them at 4
+    segments) is drawn again by a numpy Generator, so every bit comes either
+    from a checked fast path or from numpy. Longer schedules leave every
+    trial to numpy.
     """
-    noisy = _noisy(spec) and segments > 0
+    noisy = _noisy(spec, segments)
     jumps = _lcg_jumps(2 * segments) if noisy and segments <= _FAST_SEGMENTS else None
     for start in range(0, trials, TRIAL_BLOCK):
         stop = min(start + TRIAL_BLOCK, trials)
@@ -406,8 +405,9 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
 def _block_product(steps: np.ndarray, z_axis: list[bool]) -> np.ndarray:
     """steps[-1] @ ... @ steps[0] over a block, equal in value to ``ordered_product``.
 
-    steps has shape (segments, trials, 2, 2); z_axis[k] says segment k's
-    axis has x and y exactly zero, so its steps are diagonal. Such a step
+    steps has shape (segments, trials, 2, 2) and the result (trials, 2, 2),
+    with no segments the identity for every trial. z_axis[k] says segment
+    k's axis has x and y exactly zero, so its steps are diagonal. Such a step
     scales the rows of the running product, and while the running product
     is itself diagonal, its diagonal scales the columns of the next step.
     Every entry of a product with a diagonal factor has a single nonzero
@@ -416,7 +416,7 @@ def _block_product(steps: np.ndarray, z_axis: list[bool]) -> np.ndarray:
     matmul, whose sums the elementwise forms would not reproduce bit for bit.
     """
     if len(steps) == 0:
-        return IDENTITY_2.copy()
+        return np.broadcast_to(IDENTITY_2, steps.shape[1:])
     u, diagonal = steps[0], z_axis[0]
     for step, z_step in zip(steps[1:], z_axis[1:]):
         if z_step:
@@ -470,10 +470,11 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     ``_block_product`` and ``_block_traces``, which keep the
     bits of ``core.ordered_product`` and of the stacked product target^dag
     @ U. An elementwise trace would save only 1-2% of a sweep and changes
-    bits, which waits on ROADMAP item 5. With both sigmas zero every trial
-    propagates the unperturbed schedule, so the sweep propagates trial 0
-    alone and repeats its fidelity; the fidelities and their statistics are the
-    same, bit for bit, as if every trial ran.
+    bits, which waits on ROADMAP item 5. A trial draws only when the
+    schedule has a segment and a sigma is nonzero (``_noisy``); otherwise
+    every trial propagates the unperturbed schedule, so the sweep propagates
+    trial 0 alone and repeats its fidelity; the fidelities and their
+    statistics are the same, bit for bit, as if every trial ran.
     """
     _check_types(sched, spec)
     target = as_matrix("target", target)
@@ -489,17 +490,14 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     target_dag = target.conj().T
     axes, _ = drive_arrays(sched.segments)
     z_axis = ((axes[:, 0] == 0.0) & (axes[:, 1] == 0.0)).tolist()
-    nominal = _nominal_drives(sched)
-    noisy = _noisy(spec)
+    noisy = _noisy(spec, len(sched))
     fidelities = np.empty(spec.trials if noisy else 1)
     for block, draws in _block_draws(spec, len(sched), len(fidelities)):
-        omega, tau = _perturbed_drives(*nominal, spec, draws)
+        omega, tau = _perturbed_drives(sched, spec, draws)
         # Segment-major, so each product step multiplies the whole block.
         steps = su2(axes, omega * tau).swapaxes(0, 1)
         u = _block_product(steps, z_axis)
         del steps  # freed before the traces' temporaries
-        # The empty schedule's product is one identity for the whole block.
-        u = np.broadcast_to(u, (block.stop - block.start, 2, 2))
         fidelities[block] = np.abs(_block_traces(target_dag, u)) / 2
     if not noisy:
         fidelities = np.full(spec.trials, fidelities[0])

@@ -493,6 +493,8 @@ def test_cold_commands_load_no_numpy(tmp_path):
      {"geoloop.noise", "numpy.random", "dataclasses"}),
     (["noise", "loop.json", "--target", "u_chi:pi/4", "--sigma-tau", "0.01", "--trials", "5"],
      {"geoloop.phases"}),
+    (["noise", "loop.json", "--target", "u_chi:pi/4", "--trials", "5"],
+     {"geoloop.phases", "numpy.random"}),
 ])
 def test_commands_load_only_what_they_compute(tmp_path, argv, unused):
     main(["synthesize", "--chi", "pi/4", "--omega", "1.0", "--omega2", "1.0",

@@ -19,7 +19,6 @@ from geoloop.noise import (
     _block_traces,
     _fast_draws,
     _lcg_jumps,
-    _nominal_drives,
     _perturbed_drives,
     _seed_words,
     _ziggurat_tables,
@@ -58,6 +57,15 @@ class TestPerturbSchedule:
             got = perturb_schedule(LOOP, spec, trial)
             assert [(s.omega, s.duration) for s in got] == expected
 
+    def test_empty_schedule_builds_no_stream(self, monkeypatch):
+        # No segment draws, whatever the sigmas: no default_rng is built.
+        def no_stream(*args):
+            raise AssertionError("an empty schedule draws nothing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        spec = NoiseSpec(0.1, 0.1, 1, 3)
+        assert perturb_schedule(Schedule(label="x"), spec, 0) == Schedule(label="x")
+
     def test_axes_untouched(self):
         spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=1, seed=7)
         got = perturb_schedule(LOOP, spec, 0)
@@ -88,9 +96,9 @@ class TestPerturbSchedule:
         spec = NoiseSpec(sigma_omega=1e308)
         draws = np.full((1, len(LOOP), 2), 2.0)
         with pytest.raises(ValueError, match="not finite"):
-            _perturbed_drives(*_nominal_drives(LOOP), spec, draws)
+            _perturbed_drives(LOOP, spec, draws)
         # A draw that overflows downwards is clamped at zero, like any other.
-        omega, tau = _perturbed_drives(*_nominal_drives(LOOP), spec, -draws)
+        omega, tau = _perturbed_drives(LOOP, spec, -draws)
         assert omega.tolist() == [[0.0] * len(LOOP)]
         assert tau.tolist() == [[seg.duration for seg in LOOP]]
 
@@ -211,6 +219,20 @@ class TestFidelitySweep:
         expected = abs(np.trace(target.conj().T)) / 2
         result = fidelity_sweep(Schedule(), target, spec)
         assert [f.hex() for f in result.fidelities] == [expected.hex()] * spec.trials
+
+    def test_empty_schedule_propagates_one_trial(self, monkeypatch):
+        # Its trials cannot differ, so a noisy sweep over two blocks calls su2 once.
+        calls = []
+
+        def counted_su2(*args):
+            calls.append(args)
+            return su2(*args)
+
+        monkeypatch.setattr(noise, "su2", counted_su2)
+        spec = NoiseSpec(sigma_omega=0.1, sigma_tau=0.1, trials=TRIAL_BLOCK + 1, seed=3)
+        result = fidelity_sweep(Schedule(), np.eye(2), spec)
+        assert len(calls) == 1
+        assert result.fidelities == (1.0,) * spec.trials
 
     def test_single_segment_sweep(self):
         seg = ControlSegment((0, 1, 0), 1.0, 0.5)
@@ -425,7 +447,11 @@ class TestBlockProduct:
             return [value.hex() for value in values]
 
         got = [bits(sched) for sched in schedules]
-        monkeypatch.setattr(noise, "_block_product", lambda steps, _: ordered_product(steps))
+        monkeypatch.setattr(
+            noise,
+            "_block_product",
+            lambda steps, _: np.broadcast_to(ordered_product(steps), steps.shape[1:]),
+        )
         assert got == [bits(sched) for sched in schedules]
 
 
@@ -468,9 +494,9 @@ class TestBlockTraces:
         LOOP,
     ], ids=["empty", "all-z", "paper-loop"])
     def test_each_block_product_shape(self, sched):
-        # _block_product's three shapes: the identity of an empty schedule,
-        # broadcast over the block as fidelity_sweep does, a diagonal stack
-        # from z steps only, and a general stack.
+        # _block_product's three shapes: the identity of an empty schedule
+        # for every trial, a diagonal stack from z steps only, and a general
+        # stack.
         rng = np.random.default_rng(23)
         axes = np.array([seg.axis for seg in sched], dtype=float).reshape(-1, 3)
         theta = np.array([seg.omega * seg.duration for seg in sched])
@@ -478,7 +504,7 @@ class TestBlockTraces:
         for trials in (1, TRIAL_BLOCK, 600):
             draws = 1.0 + 0.05 * rng.standard_normal((trials, len(sched)))
             u = _block_product(su2(axes, theta * draws).swapaxes(0, 1), z_axis)
-            u = np.broadcast_to(u, (trials, 2, 2))
+            assert u.shape == (trials, 2, 2)
             for target in (random_unitaries(rng, 1)[0], u_chi(0.3)):
                 self.assert_stacked_traces(target.conj().T, u)
 
