@@ -59,6 +59,15 @@ def _load(path):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path as UTF-8 with "\n" line ends."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_single_qubit(path, what: str):
     """Load a single-qubit schedule; what ("noise sweeps are", ...) starts the error."""
     sched = _load(path)
@@ -110,10 +119,7 @@ def _target(spec: str):
 
 def cmd_synthesize(args) -> tuple[int, str]:
     sched = single_loop_schedule(parse_angle(args.chi), args.omega, args.omega2)
-    try:
-        schedule_io.save_schedule(sched, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, schedule_io.serialize_schedule(sched))
     return 0, f"wrote {args.out}\n"
 
 
@@ -157,12 +163,7 @@ def cmd_export_path(args) -> tuple[int, str]:
     path = sample_path(sched, _initial_state(args), args.samples)
     # The bytes np.savetxt(fmt="%.17g", delimiter=",") writes, in one pass.
     rows = map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(path.t.tolist(), *path.r.T.tolist()))
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,x,y,z\n")
-            fh.write("".join(rows))
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, "".join(["t,x,y,z\n", *rows]))
     return 0, f"wrote {len(path.t)} samples to {args.out}\n"
 
 

@@ -9,7 +9,6 @@ propagator in the package comes from one batched kernel, ``su2``.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -195,14 +194,9 @@ def as_matrix(field: str, value) -> np.ndarray:
     return array.astype(complex, copy=False)
 
 
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """Read-only real dim x dim identity, built once per dimension."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity."""
-    return float(np.maximum.reduce(abs(u.conj().T @ u - _identity(u.shape[0])), None))
+    gram = u.conj().T @ u
+    # The product is a new C-ordered array, so this strided view is its diagonal.
+    gram.reshape(-1)[:: len(gram) + 1] -= 1
+    return float(np.maximum.reduce(abs(gram), None))

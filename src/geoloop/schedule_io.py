@@ -9,6 +9,7 @@ precision so parse(serialize(x)) reproduces x bit-for-bit.
 from __future__ import annotations
 
 import json
+import re
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Union
@@ -99,6 +100,30 @@ _FILE_TEMPLATES = {
 
 def _skip(text: str, idx: int) -> int:
     return WHITESPACE.match(text, idx).end()
+
+
+def _located(message: str, text: str, idx: int) -> ScheduleParseError:
+    """The error for the token at offset idx of text, with its line and column."""
+    line = text.count("\n", 0, idx) + 1
+    return ScheduleParseError(message, line, idx - text.rfind("\n", 0, idx))
+
+
+# A string, closed or not, which _deepest skips, or a bracket (group 1).
+_BRACKET = re.compile(r'"(?:\\.|[^"\\])*"?|([][{}])')
+
+
+def _deepest(text: str) -> tuple[int, int]:
+    """The greatest depth of nested arrays and objects in text, and the offset of
+    the first bracket that opens that depth. Brackets inside strings do not count.
+    """
+    depth = deepest = at = 0
+    for match in _BRACKET.finditer(text):
+        bracket = match.group(1)
+        if bracket:
+            depth += 1 if bracket in "[{" else -1
+            if depth > deepest:
+                deepest, at = depth, match.start()
+    return deepest, at
 
 
 def _offset(text: str, path: tuple) -> int:
@@ -194,7 +219,9 @@ def _parse_step(obj, path: tuple):
     return _parse_record(_STEPS[kind], kind, body, path + (kind,), f"{kind} step")
 
 
-def _parse_document(doc: dict) -> AnySchedule:
+def _parse_document(doc) -> AnySchedule:
+    if not isinstance(doc, dict):
+        raise _Reject("top level must be an object", ())
     version = _require(doc, "version")
     if type(version) is not int or version != FORMAT_VERSION:  # True == 1.0 == 1
         raise _Reject(f"unsupported version {version!r}", ("version",))
@@ -219,24 +246,27 @@ def _parse_document(doc: dict) -> AnySchedule:
 
 
 def parse_schedule(text: str) -> AnySchedule:
-    """Parse a schedule file into a Schedule or ConditionalSchedule."""
+    """Parse a schedule file into a Schedule or ConditionalSchedule.
+
+    Malformed text raises ScheduleParseError with a line and column. That
+    includes arrays and objects nested too deeply for the JSON decoder,
+    located at the first bracket of the text's greatest depth.
+    """
     check_type("text", text, str)
     if text.startswith("\ufeff"):  # json.loads checks this; decode() does not
         raise ScheduleParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        doc = _DECODER.decode(text)
+        try:
+            return _parse_document(_DECODER.decode(text))
+        except _Reject as exc:
+            message, path = exc.args
+            raise _located(message, text, _offset(text, path)) from exc.__cause__
     except json.JSONDecodeError as exc:
         raise ScheduleParseError(exc.msg, exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise ScheduleParseError("top level must be an object")
-    try:
-        return _parse_document(doc)
-    except _Reject as exc:
-        message, path = exc.args
-        idx = _offset(text, path)
-        line = text.count("\n", 0, idx) + 1
-        column = idx - text.rfind("\n", 0, idx)
-        raise ScheduleParseError(message, line, column) from exc.__cause__
+    except RecursionError:  # the decoder, in decode() or in _offset, recurses per level
+        depth, idx = _deepest(text)
+        raise _located(f"arrays and objects nest {depth} deep, too deep to parse",
+                       text, idx) from None
 
 
 def _entry(layout: _Layout, name: str, obj) -> str:
@@ -276,8 +306,19 @@ def serialize_schedule(sched: AnySchedule) -> str:
 
 
 def load_schedule(path) -> AnySchedule:
+    """Read a schedule file as UTF-8 text with universal newlines, then parse it.
+
+    A byte that is not UTF-8 raises ScheduleParseError at its line and column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_schedule(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # The text before the bad byte, with the newlines that text mode reads.
+            head = exc.object[: exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
+            message = f"invalid UTF-8 at byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+            raise _located(message, head, len(head)) from None
+    return parse_schedule(text)
 
 
 def save_schedule(sched: AnySchedule, path) -> None:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import IDENTITY_2, SIGMA_Z, drive_arrays, ordered_product, su2
+from .core import IDENTITY_2, SIGMA_Z, drive_arrays, ordered_product, schedule_unitary, su2
 from .gates import u_chi
 from .records import (
     ConditionalSchedule,
@@ -131,35 +131,41 @@ def two_qubit_schedule(
     )
 
 
+def _controlled(block: np.ndarray) -> np.ndarray:
+    """4x4 gate with block on b = up and the identity on b = down: a new array."""
+    u = IDENTITY_4.copy()
+    u[:2, :2] = block
+    return u
+
+
 def two_qubit_unitary(sched: ConditionalSchedule) -> np.ndarray:
     """Propagator of the conditional schedule in the effective picture.
 
     The coupling step applies exp(-i pi J sigma_z tau), a z rotation by
     2 pi J tau, only on the b = up block; drive segments act on both blocks
-    in natural mode and on the b = up block alone in line-selective mode.
-    The 2x2 propagators come from one ``su2`` call and are assembled once.
+    in natural mode and on the b = up block alone in line-selective mode,
+    where the b = down block stays the identity (see ``_controlled``). The
+    2x2 propagators come from one ``su2`` call.
     """
     check_type("sched", sched, ConditionalSchedule)
     steps = su2(*drive_arrays(sched.steps))
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = ordered_product(steps)
+    u = _controlled(ordered_product(steps))
     if sched.mode == "natural":
         drives = [
             step for step, kind in zip(steps, sched.steps) if not isinstance(kind, CouplingStep)
         ]
         u[2:, 2:] = ordered_product(drives)
-    else:
-        u[2, 2] = u[3, 3] = 1.0
     return u
 
 
 def line_selective_unitary(sched: Schedule) -> np.ndarray:
     """4x4 gate of a single-qubit schedule driven on qubit a line-selectively.
 
-    Its gate acts on b = up, the identity on b = down: a controlled gate.
+    Its gate acts on b = up, the identity on b = down: a controlled gate,
+    ``_controlled(schedule_unitary(sched))``, the same bits as
+    ``two_qubit_unitary`` of the segments in line-selective mode.
     """
-    check_type("sched", sched, Schedule)
-    return two_qubit_unitary(ConditionalSchedule(sched.segments, "line_selective"))
+    return _controlled(schedule_unitary(sched))
 
 
 def controlled_u(chi: float, omega: float, omega2: float) -> np.ndarray:
@@ -184,8 +190,9 @@ def u2_line_selective() -> np.ndarray:
 
 
 def controlled_u_reference(chi: float) -> np.ndarray:
-    """Directly assembled controlled gate: u_chi block plus identity block."""
+    """Controlled gate assembled from u_chi's closed form, not from a propagator.
+
+    It shares ``_controlled`` with ``controlled_u``; what it checks is the block.
+    """
     check_chi(chi)
-    u = IDENTITY_4.copy()
-    u[:2, :2] = u_chi(chi)
-    return u
+    return _controlled(u_chi(chi))

@@ -731,6 +731,31 @@ def test_surrogate_label_is_an_input_error_at_its_key(tmp_path, capsys, command)
                             "got 'loop \\udfff' (line 2, column 2)\n")
 
 
+@pytest.mark.parametrize("command", [["verify", "--target", "u_chi:0"],
+                                     ["phase", "--chi", "pi/4"]])
+def test_deeply_nested_file_is_an_input_error(tmp_path, capsys, command):
+    file = tmp_path / "deep.json"
+    file.write_text('{"version": 1, "kind": "single_qubit",\n "segments": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    capsys.readouterr()
+    assert main([command[0], str(file), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {file}: arrays and objects nest 100001 deep, "
+                            "too deep to parse (line 2, column 100013)\n")
+
+
+def test_non_utf8_file_is_an_input_error_at_its_byte(tmp_path, capsys):
+    file = tmp_path / "bad.json"
+    file.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["verify", str(file), "--target", "u_chi:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {file}: invalid UTF-8 at byte 0xff: invalid start byte (line 1, column 1)\n")
+
+
 class TestGoldenBytes:
     """CLI output bytes, pinned; file names are relative to the working directory."""
 

@@ -321,6 +321,17 @@ class TestScheduleUnitary:
             assert unitarity_defect(schedule_unitary(random_schedule(rng))) <= TOL
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitarity_defect_bits_match_the_identity_subtraction(n):
+    # Unitary (a Q factor) and not (the raw Gaussian matrix), at every size up to 4x4.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for u in (a, np.linalg.qr(a)[0]):
+            expected = np.max(np.abs(u.conj().T @ u - np.eye(n)))
+            assert unitarity_defect(u).hex() == float(expected).hex()
+
+
 class TestPropagate:
     def test_empty_schedule_preserves_state(self):
         s = state_from_angles(0.4, 1.0, "plus")

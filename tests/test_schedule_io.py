@@ -11,6 +11,7 @@ from geoloop.gates import single_loop_schedule
 from geoloop.records import InvalidFieldError
 from geoloop.schedule_io import (
     ScheduleParseError,
+    load_schedule,
     parse_schedule,
     serialize_schedule,
 )
@@ -117,11 +118,35 @@ class TestParseErrors:
             parse_schedule(text)
         assert str(exc.value) == "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"
 
-    @pytest.mark.parametrize("text", ["[]", "5", '"schedule"', "null"])
-    def test_top_level_must_be_an_object(self, text):
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [("[]", 1, 1), ("5", 1, 1), ('"schedule"', 1, 1), ("null", 1, 1), ("\n\n  [1]", 3, 3)],
+    )
+    def test_top_level_must_be_an_object(self, text, line, column):
         with pytest.raises(ScheduleParseError) as exc:
             parse_schedule(text)
-        assert str(exc.value) == "top level must be an object (line 1, column 1)"
+        assert str(exc.value) == f"top level must be an object (line {line}, column {column})"
+
+    @pytest.mark.parametrize(
+        "text, depth, line, column",
+        [
+            pytest.param("[" * 5000 + "]" * 5000, 5000, 1, 5000, id="arrays"),
+            # Unclosed; brackets inside a string, closed or not, do not count.
+            pytest.param('["[[[", ' + "[" * 3000 + '"]]]', 3001, 1, 3008, id="strings"),
+            pytest.param('{"version": 1, "kind": "single_qubit",\n "segments": '
+                         + "[" * 100_000 + "]" * 100_000 + "}", 100_001, 2, 100_013,
+                         id="segments"),
+            # A segment's unknown field whose value nests deeper than the
+            # decoder can follow, so it cannot be located at its key.
+            pytest.param('{"version": 1, "kind": "single_qubit", "segments": [\n {"x": '
+                         + "[" * 4000 + "]" * 4000 + "}]}", 4003, 2, 4007, id="unknown-field"),
+        ],
+    )
+    def test_nesting_too_deep_to_decode(self, text, depth, line, column):
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        message = f"arrays and objects nest {depth} deep, too deep to parse"
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
 
     @pytest.mark.parametrize(
         "key, message",
@@ -174,6 +199,34 @@ class TestParseErrors:
         text = '{"version": 1, "kind": "two_qubit", "mode": "magic", "steps": []}'
         with pytest.raises(ScheduleParseError):
             parse_schedule(text)
+
+
+class TestLoadSchedule:
+    @pytest.mark.parametrize(
+        "data, byte, reason, line, column",
+        [
+            (b"\xff\xfe{}", 0xFF, "invalid start byte", 1, 1),
+            # Text mode reads "\r\n" and a lone "\r" as one line end each.
+            (b'{"version": 1,\r\n "label": "\xc3\xa9\xe2\x41"}', 0xE2,
+             "invalid continuation byte", 2, 13),
+            (b'{\r\r "label": "\xe2\x82', 0xE2, "unexpected end of data", 3, 12),
+        ],
+    )
+    def test_bytes_that_are_not_utf8(self, tmp_path, data, byte, reason, line, column):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ScheduleParseError) as exc:
+            load_schedule(path)
+        assert str(exc.value) == (
+            f"invalid UTF-8 at byte 0x{byte:02x}: {reason} (line {line}, column {column})"
+        )
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_reads_universal_newlines(self, tmp_path, newline):
+        sched = single_loop_schedule(0.7, 1.0, 2.0)
+        path = tmp_path / "loop.json"
+        path.write_bytes(serialize_schedule(sched).replace("\n", newline).encode())
+        assert load_schedule(path) == sched
 
 
 def _token_at(text, exc):

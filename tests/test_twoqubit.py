@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.core import ControlSegment, Schedule, drive_arrays, state_from_angles
+from geoloop import twoqubit
 from geoloop.gates import compare_gates, u_chi
 from geoloop.phases import dynamical_phase
 from geoloop.twoqubit import (
@@ -17,6 +18,7 @@ from geoloop.twoqubit import (
     controlled_u,
     controlled_u_reference,
     effective_field_a,
+    line_selective_unitary,
     nmr_hamiltonian,
     two_qubit_schedule,
     two_qubit_unitary,
@@ -24,7 +26,9 @@ from geoloop.twoqubit import (
     u2_natural,
 )
 from geoloop.core import IDENTITY_2, SIGMA_Z, unitarity_defect
-from geoloop.records import ChiOutOfRangeError, InvalidCouplingError, InvalidFieldError
+from geoloop.records import (
+    ChiOutOfRangeError, InvalidCouplingError, InvalidFieldError, single_loop_schedule
+)
 
 from helpers import PAULI, series_expm, series_rotation, unit_axes
 
@@ -374,6 +378,19 @@ class TestControlledU:
     def test_rejects_out_of_range_chi(self):
         with pytest.raises(ChiOutOfRangeError):
             controlled_u(2.0, 1.0, 1.0)
+
+    def test_line_selective_unitary_builds_no_conditional_schedule(self, monkeypatch):
+        # The single-qubit gate goes into the b = up block as it is; the
+        # schedule is not rebuilt, and re-checked, as a ConditionalSchedule.
+        sched = single_loop_schedule(0.7, 1.3, 0.7)
+        expected = two_qubit_unitary(ConditionalSchedule(sched.segments, "line_selective"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("line_selective_unitary built a ConditionalSchedule")
+
+        monkeypatch.setattr(twoqubit, "ConditionalSchedule", refuse)
+        u = line_selective_unitary(sched)
+        assert u.tobytes() == expected.tobytes()
 
 
 def test_coupling_step_validation():
