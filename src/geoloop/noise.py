@@ -31,19 +31,23 @@ from .records import (
     check_type,
 )
 
-# Trials seeded, drawn and propagated together by fidelity_sweep. The seed
-# hash and the streams' array arithmetic (_fast_draws) cost 0.1-0.3 ms a
-# call however few trials it covers, so blocks amortize them and numpy's
-# per-call cost over hundreds of trials, while keeping a sweep's
-# temporaries under 0.5 MB however many trials it runs (a test checks it).
+# Trials drawn and propagated together by fidelity_sweep. The streams'
+# array arithmetic (_fast_draws) costs 0.1-0.3 ms a call however few
+# trials it covers, so blocks amortize it and numpy's per-call cost over
+# hundreds of trials, while keeping a sweep's temporaries under 0.5 MB
+# however many trials it runs (a test checks it).
 TRIAL_BLOCK = 512
+# Trials whose seed words _block_draws hashes in one _seed_words call. The
+# hash costs about 55 us a call however few trials it covers, and a
+# chunk's words take 64 kB.
+_SEED_CHUNK = 4 * TRIAL_BLOCK
 # Largest unitarity defect of a sweep's target: the tolerance gates are
 # certified to, so a fidelity cannot exceed 1 by more than about this.
 TARGET_UNITARITY_TOL = 1e-12
 
 # Longest schedule whose draws _block_draws computes as array arithmetic.
 # A draw misses the ziggurat's fast path, leaving its trial to numpy, about
-# 1.8% of the time: at 12 segments (24 draws) numpy draws a third of the
+# 1.5% of the time: at 12 segments (24 draws) numpy draws 30% of the
 # trials again, and from about 16 segments the arithmetic costs more than
 # the Generators it saves.
 _FAST_SEGMENTS = 12
@@ -263,26 +267,30 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     0xff, a sign in bit 8 and rabs = r >> 9 (52 bits). When rabs <
     ki[layer] it returns +-rabs * wi[layer], having consumed r alone;
     otherwise it consumes more outputs. No table value is written here:
-    both are read from numpy, once per process (about 1 ms), by two
+    both are read from numpy, once per process (about 1 ms), by three
     standard_normal calls on an MT19937 whose key holds the untempered
     words of chosen outputs.
 
-    - The first reads wi[layer] at rabs = 1, for every layer but 1, whose
-      fast path is empty (ki[1] = 0).
+    - Layer 1's fast path is empty (ki[1] = 0), so its bound stays 0. An
+      output of layer 1 at rabs = 1, then an output of 0, passes numpy's
+      wedge test: the first call reads wi[1] from that normal, and keeps
+      it only if exactly those 2 outputs were consumed.
+    - The second reads wi[layer] at rabs = 1 for every other layer.
     - With the layers' edges x = wi * 2**52, ki[layer] is about 2**52 *
       x[layer - 1] / x[layer], where layer 0 (the base strip) takes
       x[-1] = x[255], the tail's start. A few units less is a candidate.
-    - The second call keeps a candidate only if numpy returns
+    - The third call keeps a candidate only if numpy returns
       (bound - 1) * wi[layer] for it.
 
-    Layer 2's candidate needs wi[1], so layers 1 and 2 get bound 0, and if
-    either call consumed more than one output per normal, every bound is 0.
+    If the first call's check fails, layer 2 has no candidate and gets
+    bound 0. If the second or third consumed more than one output per
+    normal, every bound is 0.
     """
     from numpy.random import MT19937, Generator
 
     bitgen = MT19937(0)
 
-    def normals(outputs: np.ndarray) -> tuple[np.ndarray, bool]:
+    def normals(outputs: np.ndarray, count: int) -> tuple[np.ndarray, bool]:
         # numpy's mt19937_next64 takes the high word first; tempering is inverted here.
         key = np.zeros(624, dtype=np.uint32)
         y = outputs.astype(">u8").view(">u4").astype(np.uint32)
@@ -293,17 +301,19 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
             x = y ^ (x << 7 & 0x9D2C5680)
         key[: len(y)] = x ^ x >> 11 ^ x >> 22
         bitgen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-        values = Generator(bitgen).standard_normal(len(outputs))
+        values = Generator(bitgen).standard_normal(count)
         return values, bitgen.state["state"]["pos"] == len(y)
 
-    layers = np.append(0, np.arange(2, 256))
     width, bound = np.zeros(256), np.zeros(256, dtype=np.int64)
-    width[layers], whole = normals(layers | 1 << 9)
+    wedge, whole = normals(np.array([1 | 1 << 9, 0], dtype=np.uint64), 1)
+    width[1] = wedge[0] if whole else 0.0
+    layers = np.append(0, np.arange(2, 256))
+    width[layers], whole = normals(layers | 1 << 9, len(layers))
     with np.errstate(divide="ignore", invalid="ignore"):  # width[-1] is width[255]
         candidate = np.floor(width[layers - 1] / width[layers] * 2**52) - 4
     keep = whole & (candidate >= 1) & (candidate < 2**52)
     layers, rabs = layers[keep], candidate[keep].astype(np.int64) - 1
-    values, whole = normals(layers | rabs << 9)
+    values, whole = normals(layers | rabs << 9, len(layers))
     bound[layers] = (rabs + 1) * (whole & (values == rabs * width[layers]))
     return width, bound
 
@@ -312,20 +322,24 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+@functools.cache
 def _lcg_jumps(outputs: int) -> np.ndarray:
     """[P, Q]: PCG64's state before output k is P[k] * initstate + Q[k] * inc.
 
     numpy's pcg64_set_seed leaves state (initstate + inc) * M + inc, and
     each output first steps state -> state * M + inc, so P[k] = M**(k + 2)
     and Q[k] = M**(k + 2) + ... + M + 1, mod 2**128. Each is a (hi, lo)
-    pair of uint64 words of shape (outputs, 1).
+    pair of uint64 words of shape (outputs, 1). Computed once per process
+    and output count; the array is read-only, since every caller shares it.
     """
     power, total, rows = _PCG_MULT, _PCG_MULT + 1, []
     for _ in range(outputs):
         power = power * _PCG_MULT % 2**128
         total = (total + power) % 2**128
         rows.append((power >> 64, power & _MASK64, total >> 64, total & _MASK64))
-    return np.array(rows, dtype=np.uint64).T.reshape(2, 2, outputs, 1)
+    jumps = np.array(rows, dtype=np.uint64).T.reshape(2, 2, outputs, 1)
+    jumps.flags.writeable = False
+    return jumps
 
 
 def _fast_draws(words: np.ndarray, jumps: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -377,12 +391,13 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
     standard normals of a PCG64 seeded exactly as default_rng([seed, i]),
     which is what ``perturb_schedule`` draws, or zeros when trials do not
     draw (``_noisy``: no segment, or both sigmas zero). The streams' seed
-    words are hashed one block at a time. Up to _FAST_SEGMENTS segments,
-    ``_fast_draws`` computes each block's streams and their normals as
-    array arithmetic, and a trial it cannot vouch for (13% of them at 4
-    segments) is drawn again by a numpy Generator, so every bit comes either
-    from a checked fast path or from numpy. Longer schedules leave every
-    trial to numpy.
+    words are hashed _SEED_CHUNK trials at a time, and each block slices
+    its rows from its chunk. Up to _FAST_SEGMENTS segments, ``_fast_draws``
+    computes each block's streams and their normals as array arithmetic,
+    and a trial it cannot vouch for (about 11% of them at 4 segments) is
+    drawn again by a numpy Generator, so every bit comes either from a
+    checked fast path or from numpy. Longer schedules leave every trial to
+    numpy.
     """
     noisy = _noisy(spec, segments)
     jumps = _lcg_jumps(2 * segments) if noisy and segments <= _FAST_SEGMENTS else None
@@ -392,7 +407,10 @@ def _block_draws(spec: NoiseSpec, segments: int, trials: int):
         if noisy:
             from numpy.random import PCG64, Generator
 
-            words = _seed_words(spec.seed & _MASK64, np.arange(start, stop))
+            if start % _SEED_CHUNK == 0:
+                end = min(start + _SEED_CHUNK, trials)
+                chunk = _seed_words(spec.seed & _MASK64, np.arange(start, end))
+            words = chunk[start % _SEED_CHUNK :][: stop - start]
             slow = np.arange(stop - start)
             if jumps is not None:
                 slow = np.flatnonzero(~_fast_draws(words, jumps, draws))
@@ -461,11 +479,11 @@ def fidelity_sweep(sched: Schedule, target: np.ndarray, spec: NoiseSpec) -> Swee
     sched must be a Schedule, spec a NoiseSpec and target an array of
     numbers, or TypeError is raised. target is a finite 2x2 gate, unitary
     to TARGET_UNITARITY_TOL; any other target raises ValueError. Trial i propagates
-    ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of all
-    its streams are hashed in batches rather than by one SeedSequence per
-    trial, and ``_block_draws`` computes the normals as array arithmetic
-    (numpy's PCG64 and its ziggurat's fast path), leaving to a numpy
-    Generator only the trials that arithmetic cannot vouch for. Trials are
+    ``perturb_schedule(sched, spec, i)``, bit for bit, but the seeds of its
+    streams are hashed _SEED_CHUNK trials at a time rather than by one
+    SeedSequence per trial, and ``_block_draws`` computes the normals as
+    array arithmetic (numpy's PCG64 and its ziggurat's fast path), leaving
+    to a numpy Generator only the trials that arithmetic cannot vouch for. Trials are
     propagated in blocks of TRIAL_BLOCK: one ``su2`` call per block, then
     ``_block_product`` and ``_block_traces``, which keep the
     bits of ``core.ordered_product`` and of the stacked product target^dag

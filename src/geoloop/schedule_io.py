@@ -322,5 +322,7 @@ def load_schedule(path) -> AnySchedule:
 
 
 def save_schedule(sched: AnySchedule, path) -> None:
+    """Write serialize_schedule(sched) to path; a schedule it rejects leaves path as it was."""
+    text = serialize_schedule(sched)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_schedule(sched))
+        fh.write(text)

@@ -13,6 +13,7 @@ from geoloop.schedule_io import (
     ScheduleParseError,
     load_schedule,
     parse_schedule,
+    save_schedule,
     serialize_schedule,
 )
 from geoloop.twoqubit import ConditionalSchedule, CouplingStep, NmrParams, two_qubit_schedule
@@ -419,6 +420,17 @@ def test_serialize_rejects_non_y_pulse_steps():
     with pytest.raises(ValueError) as exc:
         serialize_schedule(sched)
     assert str(exc.value) == "pulse_y records need axis (0.0, 1.0, 0.0), got (0.0, 0.0, 1.0)"
+
+
+def test_save_schedule_keeps_the_target_when_serializing_fails(tmp_path):
+    path = tmp_path / "keep.json"
+    path.write_bytes(b"old bytes\n")
+    sched = ConditionalSchedule(
+        steps=(ControlSegment((1.0, 0.0, 0.0), 1.0, 1.0),), mode="natural"
+    )
+    with pytest.raises(ValueError):
+        save_schedule(sched, path)
+    assert path.read_bytes() == b"old bytes\n"
 
 
 def test_serialize_rejects_what_is_not_a_schedule():
