@@ -14,7 +14,6 @@ dataclasses.replace.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ from .records import (
     Schedule,
     _Record,
     _setfield,
-    as_float,
     as_int,
+    as_nonnegative,
     check_type,
 )
 
@@ -70,11 +69,8 @@ class NoiseSpec(_Record):
     def __init__(
         self, sigma_omega: float = 0.0, sigma_tau: float = 0.0, trials: int = 1, seed: int = 0
     ):
-        _setfield(self, "sigma_omega", as_float("sigma_omega", sigma_omega))
-        _setfield(self, "sigma_tau", as_float("sigma_tau", sigma_tau))
-        for name in ("sigma_omega", "sigma_tau"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidFieldError(name, "sigmas must be finite and >= 0")
+        _setfield(self, "sigma_omega", as_nonnegative("sigma_omega", sigma_omega))
+        _setfield(self, "sigma_tau", as_nonnegative("sigma_tau", sigma_tau))
         _setfield(self, "trials", as_int("trials", trials, 1))
         _setfield(self, "seed", as_int("seed", seed))
         if not self.trials <= 2**32:  # a trial index is one 32-bit seed word

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import BlochVector, QubitState, bloch_points, drive_arrays, su2, wrap_phase
-from .records import Schedule, _Record, _setfield, as_int, check_type
+from .records import InvalidFieldError, Schedule, _Record, _setfield, as_int, check_type
 
 # An evolution is cyclic when |<initial|final>| >= 1 - CYCLIC_TOL.
 CYCLIC_TOL = 1e-9
@@ -25,6 +25,8 @@ PATH_CLOSURE_TOL = 1e-6
 # temporaries (hundreds of kB at 10k samples per segment) are mapped fresh
 # on every call, and their page faults cost more than the arithmetic.
 PATH_BLOCK = 4096
+# Most rows sample_path returns: t and r take 32 bytes a row, so 512 MiB.
+MAX_PATH_ROWS = 2**24
 # Smallest edge overlap |<psi_k|psi_k+1>|^2 = (1 + r_k.r_k+1)/2 that
 # solid_angle accepts. The overlap is cos^2 of half the angle between the
 # two samples, so 1e-12 means within about 2e-6 rad of antipodal. An exact
@@ -187,7 +189,9 @@ def sample_path(
     omega * t, with the Rodrigues basis B = ((n.r) n, r - (n.r) n, n x r).
     It adds samples_per_segment - 1 points, sample j at the fraction j /
     (samples_per_segment - 1) of its duration: the path has 1 + (moving
-    segments) * (samples_per_segment - 1) samples in total.
+    segments) * (samples_per_segment - 1) samples in total. A path of more
+    than MAX_PATH_ROWS samples raises InvalidFieldError naming
+    samples_per_segment, before anything is allocated.
 
     One loop fills every row. Each segment's last two rows (one when
     samples_per_segment is 2) come first, in schedule order: each segment
@@ -219,7 +223,11 @@ def sample_path(
         t0 += seg.duration
     if not math.isfinite(t0):  # every time is at most this sum
         raise ValueError("the schedule's total duration overflows")
-    times = np.empty(1 + len(moving) * per_segment)
+    rows = 1 + len(moving) * per_segment
+    if rows > MAX_PATH_ROWS:
+        message = f"samples_per_segment gives {rows} path rows, more than {MAX_PATH_ROWS}"
+        raise InvalidFieldError("samples_per_segment", message)
+    times = np.empty(rows)
     points = np.empty((len(times), 3))
     times[0] = 0.0
     points[0] = bloch_points(initial.as_vector())

@@ -135,32 +135,40 @@ def as_int(field: str, value, minimum: int | None = None) -> int:
     raise InvalidFieldError(field, f"{field} must be an integer, got {value!r}")
 
 
+def as_nonnegative(field: str, value) -> float:
+    """as_float(field, value), naming field unless it is finite and >= 0."""
+    number = as_float(field, value)
+    if not 0.0 <= number < math.inf:  # NaN-safe
+        raise InvalidFieldError(field, f"{field} must be finite and >= 0, got {value}")
+    return number
+
+
 def check_duration(omega: float, duration: float) -> float:
     """Require a finite duration >= 0 and a finite rotation angle omega * duration.
 
-    omega must already be a number that float() converts. Returns the
-    duration as a float.
+    omega is the float rate. Returns the duration as a float.
     """
-    value = as_float("duration", duration)
-    if not 0.0 <= value < math.inf:
-        message = f"duration must be finite and >= 0, got {duration}"
-    elif not math.isfinite(float(omega) * value):  # finite factors can overflow
+    value = as_nonnegative("duration", duration)
+    if not math.isfinite(omega * value):  # finite factors can overflow
         message = f"rotation angle {omega!r} * {duration!r} is not finite"
-    else:
-        return value
-    raise InvalidFieldError("duration", message)
+        raise InvalidFieldError("duration", message)
+    return value
 
 
-def check_turn(field: str, omega: float, duration: float) -> float:
-    """duration, which a builder computed by dividing by the rate omega > 0.
+def check_turn(field: str, rate: float, angle: float) -> tuple[float, float]:
+    """(rate, angle / rate): a rate, finite and > 0, and the duration of its turn.
 
-    Raises InvalidFieldError naming field, the argument that gave omega, if
-    the division overflowed: the caller passed omega, not the duration.
+    Raises InvalidFieldError naming field, the argument that gave the rate,
+    if the rate is out of range or so small that the duration overflows.
     """
+    omega = as_float(field, rate)
+    if not 0.0 < omega < math.inf:  # NaN-safe
+        raise InvalidFieldError(field, f"{field} must be finite and > 0, got {rate}")
+    duration = angle / omega
     if duration == math.inf:
         message = f"{field} = {omega!r} is too small: its turn's duration overflows"
         raise InvalidFieldError(field, message)
-    return duration
+    return omega, duration
 
 
 def check_coupling(coupling_j: float) -> float:
@@ -226,10 +234,8 @@ class ControlSegment(_Record):
         norm = math.sqrt(x * x + y * y + z * z)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN-safe
             raise NonUnitAxisError("axis", f"axis norm {norm!r} differs from 1")
-        rate = as_float("omega", omega)
-        if not 0.0 <= rate < math.inf:
-            raise InvalidFieldError("omega", f"omega must be finite and >= 0, got {omega}")
-        _setfield(self, "duration", check_duration(omega, duration))
+        rate = as_nonnegative("omega", omega)
+        _setfield(self, "duration", check_duration(rate, duration))
         _setfield(self, "axis", ax)
         _setfield(self, "omega", rate)
 
@@ -324,16 +330,13 @@ def single_loop_schedule(chi: float, omega: float, omega2: float) -> Schedule:
 
     Segments: z for pi/2/omega, x for pi/omega2, z for pi/2/omega,
     then -y for (pi - 2 chi)/omega2. chi = pi/2 makes the last segment a
-    legal zero-duration identity. An omega or omega2 so small that a
-    duration overflows raises InvalidFieldError naming it.
+    legal zero-duration identity. An omega or omega2 that is not finite
+    and > 0, or so small that a duration overflows, raises
+    InvalidFieldError naming it (``check_turn``).
     """
     check_chi(chi)
-    omega, omega2 = as_float("omega", omega), as_float("omega2", omega2)
-    for field, rate in (("omega", omega), ("omega2", omega2)):
-        if not 0 < rate < math.inf:  # NaN-safe
-            raise InvalidFieldError(field, "omega and omega2 must be finite and > 0")
-    quarter = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
-    half = check_turn("omega2", omega2, math.pi / omega2)
+    omega, quarter = check_turn("omega", omega, math.pi / 2)  # 2 * omega can overflow
+    omega2, half = check_turn("omega2", omega2, math.pi)
     z_turn = ControlSegment((0.0, 0.0, 1.0), omega, quarter)
     return Schedule(
         (

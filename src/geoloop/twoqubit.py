@@ -26,7 +26,6 @@ from .records import (
     _Record,
     _setfield,
     as_finite,
-    as_float,
     check_chi,
     check_coupling,
     check_turn,
@@ -111,7 +110,9 @@ def two_qubit_schedule(
 
     Step durations are pi/2/omega, 1/(2 J), pi/2/omega. A J whose
     interval 1/(2 J) or rate 2 pi J overflows raises InvalidCouplingError,
-    and an omega whose pulse duration overflows InvalidFieldError.
+    and an omega that is not finite and > 0, or whose pulse duration
+    overflows, InvalidFieldError, by the rule of ``single_loop_schedule``
+    (``check_turn``).
     """
     check_type("p", p, NmrParams)
     j = check_coupling(p.coupling_j)  # before dividing by J
@@ -119,10 +120,7 @@ def two_qubit_schedule(
     if interval == math.inf:  # a subnormal J
         message = f"coupling interval 1/(2 J) overflows for coupling_j = {j!r}"
         raise InvalidCouplingError("coupling_j", message)
-    omega = as_float("omega", omega)
-    if omega <= 0:
-        raise InvalidFieldError("omega", f"omega must be > 0, got {omega}")
-    pulse = check_turn("omega", omega, math.pi / 2 / omega)  # 2 * omega can overflow
+    omega, pulse = check_turn("omega", omega, math.pi / 2)  # 2 * omega can overflow
     y_pulse = ControlSegment((0.0, 1.0, 0.0), omega, pulse)
     return ConditionalSchedule(
         (y_pulse, CouplingStep(interval, j), y_pulse),

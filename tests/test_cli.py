@@ -370,6 +370,16 @@ class TestExportPath:
         assert main(["export-path", str(loop_file), "--chi", "pi/4", "--samples", "1",
                      "--out", str(tmp_path / "p.csv")]) == 2
 
+    def test_rejects_a_path_over_the_row_cap(self, loop_file, tmp_path, capsys):
+        # Run against a tree without the cap, this asks for about 128 GB.
+        out = tmp_path / "p.csv"
+        assert main(["export-path", str(loop_file), "--chi", "pi/4", "--samples", "1000000000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: samples_per_segment gives 3999999997 path rows, more than 16777216\n"
+        )
+        assert not out.exists()
+
 
 class TestNoise:
     def test_zero_sigma_all_ones(self, loop_file, capsys):
@@ -675,11 +685,11 @@ GOLDEN_ERRORS = {
     "phase loop.json --chi 0": (1, "initial state not cyclic\n"),
     "noise loop.json --target u_chi:pi/4 --trials 0": (2, "error: trials must be >= 1\n"),
     "noise loop.json --target u_chi:pi/4 --sigma-tau -1":
-        (2, "error: sigmas must be finite and >= 0\n"),
+        (2, "error: sigma_tau must be finite and >= 0, got -1.0\n"),
     "noise loop.json --target u2":
         (2, "error: noise sweeps need a single-qubit target (u_chi:...)\n"),
     "synthesize --chi pi/4 --omega nan --omega2 1 --out s.json":
-        (2, "error: omega and omega2 must be finite and > 0\n"),
+        (2, "error: omega must be finite and > 0, got nan\n"),
     "verify missing.json --target u2":
         (2, "error: cannot read missing.json: [Errno 2] No such file or directory: "
             "'missing.json'\n"),

@@ -102,8 +102,11 @@ class TestSingleLoopSchedule:
         # to the segment constructor.
         freqs = [1.0, 1.0]
         freqs[which] = bad
-        with pytest.raises(ValueError, match="omega and omega2 must be finite and > 0"):
+        field = ("omega", "omega2")[which]
+        with pytest.raises(InvalidFieldError) as exc:
             single_loop_schedule(0.4, *freqs)
+        message = f"{field} must be finite and > 0, got {bad}"
+        assert (exc.value.field, str(exc.value)) == (field, message)
 
     @pytest.mark.parametrize("field", ["omega", "omega2"])
     def test_names_a_frequency_whose_duration_overflows(self, field):

@@ -304,21 +304,21 @@ def test_record_taking_calls_reject_an_argument_of_another_type(name):
 NAMED_FIELDS = {
     "single_loop_schedule omega": (
         lambda: single_loop_schedule(0.3, 0.0, 1.0),
-        "omega", "omega and omega2 must be finite and > 0",
+        "omega", "omega must be finite and > 0, got 0.0",
     ),
     "single_loop_schedule omega2": (
         lambda: single_loop_schedule(0.3, 1.0, math.nan),
-        "omega2", "omega and omega2 must be finite and > 0",
+        "omega2", "omega2 must be finite and > 0, got nan",
     ),
     "single_loop_schedule both": (
         lambda: single_loop_schedule(0.3, -1.0, -1.0),
-        "omega", "omega and omega2 must be finite and > 0",
+        "omega", "omega must be finite and > 0, got -1.0",
     ),
     "single_loop_schedule chi": (
         lambda: single_loop_schedule(2.0, 1.0, 1.0), "chi", "chi out of range [0, pi/2], got 2.0"
     ),
     "two_qubit_schedule omega": (
-        lambda: two_qubit_schedule(0.0, PARAMS), "omega", "omega must be > 0, got 0.0"
+        lambda: two_qubit_schedule(0.0, PARAMS), "omega", "omega must be finite and > 0, got 0.0"
     ),
     "sample_path samples_per_segment": (
         lambda: sample_path(LOOP, STATE, 1),

@@ -127,10 +127,10 @@ class TestPerturbSchedule:
         assert spec == NoiseSpec(0.5, 1.0, 3, 2**64 - 1)
 
     @pytest.mark.parametrize("values, field, message", [
-        (dict(sigma_omega=-0.1), "sigma_omega", "sigmas must be finite and >= 0"),
-        (dict(sigma_tau=math.nan), "sigma_tau", "sigmas must be finite and >= 0"),
+        (dict(sigma_omega=-0.1), "sigma_omega", "sigma_omega must be finite and >= 0, got -0.1"),
+        (dict(sigma_tau=math.nan), "sigma_tau", "sigma_tau must be finite and >= 0, got nan"),
         (dict(sigma_omega=math.inf, sigma_tau=-1), "sigma_omega",
-         "sigmas must be finite and >= 0"),
+         "sigma_omega must be finite and >= 0, got inf"),
         (dict(trials=0), "trials", "trials must be >= 1"),
         (dict(trials=2**32 + 1), "trials", "trials must be <= 2**32"),
     ])

@@ -415,6 +415,15 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(Schedule(), QubitState(1, 0), 1)
 
+    def test_path_of_the_row_cap_and_one_row_more(self, monkeypatch):
+        sched = Schedule(segments=(ControlSegment((1, 0, 0), 1.0, 2.5),))  # rows = samples
+        monkeypatch.setattr(phases, "MAX_PATH_ROWS", 37)
+        assert len(sample_path(sched, QubitState(1, 0), 37).t) == 37
+        with pytest.raises(InvalidFieldError) as exc:
+            sample_path(sched, QubitState(1, 0), 38)
+        message = "samples_per_segment gives 38 path rows, more than 37"
+        assert (exc.value.field, str(exc.value)) == ("samples_per_segment", message)
+
     @pytest.mark.parametrize("bad", [3.0, True, "3", None])
     def test_samples_must_be_an_integer(self, bad):
         # 3.0 reached numpy and raised its TypeError; True was read as 1.
@@ -884,6 +893,18 @@ class TestPathAllocation:
         path = sample_path(*loop_and_state(math.pi / 4), 10_000)
         _, peak = _traced_peak_kb(solid_angle, path)
         assert peak < 256
+
+    def test_path_over_the_row_cap_allocates_nothing(self):
+        # Run against a tree without the cap, this asks for 512 MiB.
+        sched = Schedule(segments=(ControlSegment((1, 0, 0), 1.0, 2.5),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidFieldError, match="^samples_per_segment gives"):
+                sample_path(sched, QubitState(1, 0), phases.MAX_PATH_ROWS + 1)
+            peak_kb = tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+        assert peak_kb < 64
 
     def test_sample_path_peak(self):
         path, peak = _traced_peak_kb(sample_path, *loop_and_state(math.pi / 4), 10_000)

@@ -181,9 +181,23 @@ class TestTwoQubitSchedule:
         with pytest.raises(InvalidCouplingError):
             two_qubit_schedule(1.0, NmrParams(1.0, 1.0, 0.0))
 
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
-            two_qubit_schedule(-1.0, PARAMS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_omega(self, bad):
+        # NaN fails every comparison, so "omega <= 0" alone lets it through.
+        with pytest.raises(InvalidFieldError) as exc:
+            two_qubit_schedule(bad, PARAMS)
+        message = f"omega must be finite and > 0, got {bad}"
+        assert (exc.value.field, str(exc.value)) == ("omega", message)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-310])
+    def test_shares_the_drive_rate_rule_with_the_single_loop(self, rate):
+        errors = []
+        for build in (lambda: single_loop_schedule(0.3, rate, 1.0),
+                      lambda: two_qubit_schedule(rate, PARAMS)):
+            with pytest.raises(InvalidFieldError) as exc:
+                build()
+            errors.append((exc.value.field, str(exc.value)))
+        assert errors[0] == errors[1]
 
     def test_names_j_whose_interval_overflows(self):
         # 1/(2 J) overflows for a subnormal J; the caller passed no duration.
