@@ -31,23 +31,22 @@ class CliError(Exception):
 
 
 def parse_angle(text: str) -> float:
-    """Parse radians, allowing pi-literals like 'pi', '3pi/4', '-pi/3'."""
+    """Parse radians, allowing pi-literals like 'pi', '3pi/4', '-pi/3'.
+
+    A NaN or infinite value is returned as it is: the field rule of the
+    library call that takes the angle rejects it and names the field.
+    """
     m = _PI_LITERAL.match(text.strip())
-    if m:
-        coef, den = float(m.group("coef") or 1), float(m.group("den") or 1)
-        if den == 0:
-            raise CliError(f"angle {text!r} has a zero denominator")
-        value = math.pi * coef / den
-        if m.group("sign") == "-":
-            value = -value
-    else:
+    if not m:
         try:
-            value = float(text)
+            return float(text)
         except ValueError:
             raise CliError(f"cannot parse angle {text!r}") from None
-    if not math.isfinite(value):
-        raise CliError(f"angle {text!r} is not finite")
-    return value
+    coef, den = float(m.group("coef") or 1), float(m.group("den") or 1)
+    if den == 0:
+        raise CliError(f"angle {text!r} has a zero denominator")
+    value = math.pi * coef / den
+    return -value if m.group("sign") == "-" else value
 
 
 def _load(path):

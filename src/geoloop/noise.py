@@ -25,6 +25,7 @@ from .records import (
     Schedule,
     _Record,
     _setfield,
+    _shown,
     as_int,
     as_nonnegative,
     check_type,
@@ -74,7 +75,7 @@ class NoiseSpec(_Record):
         _setfield(self, "trials", as_int("trials", trials, 1))
         _setfield(self, "seed", as_int("seed", seed))
         if not self.trials <= 2**32:  # a trial index is one 32-bit seed word
-            raise InvalidFieldError("trials", "trials must be <= 2**32")
+            raise InvalidFieldError("trials", f"trials must be <= 2**32, got {_shown(trials)}")
 
 
 @dataclass(frozen=True)

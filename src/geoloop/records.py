@@ -121,6 +121,14 @@ def as_finite(field: str, value) -> float:
     return number
 
 
+def _shown(number) -> str:
+    """str(number) for a message, or a stand-in where it has more digits than str() may print."""
+    try:
+        return str(number)
+    except ValueError:
+        return "<integer beyond the int-string limit>"
+
+
 def as_int(field: str, value, minimum: int | None = None) -> int:
     """value as an int: an integer, not a bool, and >= minimum if given; naming field if not."""
     if not isinstance(value, bool):
@@ -131,7 +139,7 @@ def as_int(field: str, value, minimum: int | None = None) -> int:
         else:
             if minimum is None or number >= minimum:
                 return number
-            raise InvalidFieldError(field, f"{field} must be >= {minimum}")
+            raise InvalidFieldError(field, f"{field} must be >= {minimum}, got {_shown(value)}")
     raise InvalidFieldError(field, f"{field} must be an integer, got {value!r}")
 
 

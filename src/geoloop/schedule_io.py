@@ -41,21 +41,13 @@ class _Reject(Exception):
     """A failed check; args are the message and the path of the token at fault."""
 
 
-class _LongInt:
-    """An integer literal too long for int(): beyond the float range, so float() overflows."""
-
-    def __float__(self):
-        raise OverflowError("integer literal beyond the float range")
-
-    def __repr__(self):
-        return "<integer beyond the int-string limit>"
-
-
 def _parse_int(literal: str):
-    try:
-        return int(literal)
-    except ValueError:  # more digits than the int-string limit allows
-        return _LongInt()
+    """The number of a JSON integer literal: int() of one under 300 characters,
+    below 1e300, so that float() of it cannot overflow; float() of a longer one,
+    the correctly rounded value or +-inf beyond the float range, as a float
+    literal such as 1e400 reads. A field's constructor rule rejects the inf.
+    """
+    return int(literal) if len(literal) < 300 else float(literal)
 
 
 _DECODER = json.JSONDecoder(parse_int=_parse_int)
@@ -176,12 +168,9 @@ def _list(doc: dict, key: str) -> list:
 
 def _number(value, key: str, path: tuple) -> float:
     """value as a float; path is that of the record holding ``key``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, _LongInt)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _Reject(f"field {key!r} must be a number", path + (key,))
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise _Reject(f"field {key!r} must be a finite number", path + (key,)) from None
+    return float(value)
 
 
 def _parse_record(layout: _Layout, name: str, obj, path: tuple, noun: str):
@@ -322,7 +311,10 @@ def load_schedule(path) -> AnySchedule:
 
 
 def save_schedule(sched: AnySchedule, path) -> None:
-    """Write serialize_schedule(sched) to path; a schedule it rejects leaves path as it was."""
+    """Write serialize_schedule(sched) to path with "\n" line ends on every platform.
+
+    A schedule that serialize_schedule rejects leaves path as it was.
+    """
     text = serialize_schedule(sched)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -88,14 +88,14 @@ class TestParseAngle:
             parse_angle("tau/4")
 
     @pytest.mark.parametrize(
-        "text",
-        ["nan", "inf", "-inf", "Infinity", pytest.param("9" * 400 + "pi", id="huge-pi")],
+        "text, shown",
+        [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("Infinity", "inf"),
+         pytest.param("9" * 400 + "pi", "inf", id="huge-pi")],
     )
-    def test_rejects_non_finite(self, text):
-        from geoloop.cli import CliError
-
-        with pytest.raises(CliError):
-            parse_angle(text)
+    def test_leaves_non_finite_to_the_library(self, text, shown):
+        # The field rule of the call that takes the angle rejects it
+        # (test_non_finite_angle_meets_its_field_rule).
+        assert repr(parse_angle(text)) == shown
 
     @pytest.mark.parametrize("text", ["pi/0", "0pi/0.0", "-2pi/0.00", "+3.5pi/0"])
     def test_rejects_zero_denominator(self, text):
@@ -667,6 +667,37 @@ def test_help_text(monkeypatch, capsys, command):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_HELP[command]
 
 
+# Each angle argument -> the argv with "@" for its value, and the rule that
+# rejects a NaN or infinite value there: the library's field rule, not parse_angle.
+ANGLE_ARGUMENTS = {
+    "synthesize --chi": (["synthesize", "--chi=@", "--omega", "1", "--omega2", "1",
+                          "--out", "{tmp}/s.json"], "chi out of range [0, pi/2], got {v}"),
+    "phase --chi": (["phase", "{loop}", "--chi=@"], "chi must be finite, got {v}"),
+    "phase --phi": (["phase", "{loop}", "--chi", "pi/4", "--phi=@"],
+                    "phi must be finite, got {v}"),
+    "export-path --chi": (["export-path", "{loop}", "--chi=@", "--out", "{tmp}/p.csv"],
+                          "chi must be finite, got {v}"),
+    "verify u_chi": (["verify", "{loop}", "--target", "u_chi:@"], "chi must be finite, got {v}"),
+    "verify controlled_u": (["verify", "{loop}", "--target", "controlled_u:@"],
+                            "chi out of range [0, pi/2], got {v}"),
+    "noise u_chi": (["noise", "{loop}", "--target", "u_chi:@", "--trials", "2"],
+                    "chi must be finite, got {v}"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ANGLE_ARGUMENTS)
+def test_non_finite_angle_meets_its_field_rule(loop_file, tmp_path, capsys, name, value):
+    template, message = ANGLE_ARGUMENTS[name]
+    argv = [a.format(loop=loop_file, tmp=tmp_path).replace("@", value) for a in template]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(v=value)}\n"
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "p.csv").exists()
+
+
 GOLDEN_FILES = {
     # file written by the setup's synthesize and by the export-path case above
     "loop.json": "8875acd186501e66f391caf2c57155bf5fdde7bd7d1928c45ccb66ef1d79b847",
@@ -680,10 +711,11 @@ GOLDEN_ERRORS = {
         (2, "error: schedule produces a 2x2 gate but target 'u2' is 4x4\n"),
     "phase u2.json --chi 0":
         (2, "error: phase reports are defined for single-qubit schedules\n"),
-    "phase loop.json --chi nan": (2, "error: angle 'nan' is not finite\n"),
+    "phase loop.json --chi nan": (2, "error: chi must be finite, got nan\n"),
     "phase loop.json --chi pi/0": (2, "error: angle 'pi/0' has a zero denominator\n"),
     "phase loop.json --chi 0": (1, "initial state not cyclic\n"),
-    "noise loop.json --target u_chi:pi/4 --trials 0": (2, "error: trials must be >= 1\n"),
+    "noise loop.json --target u_chi:pi/4 --trials 0":
+        (2, "error: trials must be >= 1, got 0\n"),
     "noise loop.json --target u_chi:pi/4 --sigma-tau -1":
         (2, "error: sigma_tau must be finite and >= 0, got -1.0\n"),
     "noise loop.json --target u2":
@@ -707,7 +739,7 @@ GOLDEN_ERRORS = {
     "verify mode.json --target u2":
         (2, "error: mode.json: unknown mode 'magic' (line 1, column 37)\n"),
     "verify longint.json --target u_chi:0":
-        (2, "error: longint.json: field 'omega' must be a finite number "
+        (2, "error: longint.json: invalid segment: omega must be finite and >= 0, got inf "
             "(line 2, column 23)\n"),
     "export-path u2.json --chi 0 --out p.csv":
         (2, "error: path export is defined for single-qubit schedules\n"),

@@ -322,7 +322,7 @@ NAMED_FIELDS = {
     ),
     "sample_path samples_per_segment": (
         lambda: sample_path(LOOP, STATE, 1),
-        "samples_per_segment", "samples_per_segment must be >= 2",
+        "samples_per_segment", "samples_per_segment must be >= 2, got 1",
     ),
     "state_from_angles branch": (
         lambda: state_from_angles(0.3, 0.0, "up"),

@@ -131,8 +131,10 @@ class TestPerturbSchedule:
         (dict(sigma_tau=math.nan), "sigma_tau", "sigma_tau must be finite and >= 0, got nan"),
         (dict(sigma_omega=math.inf, sigma_tau=-1), "sigma_omega",
          "sigma_omega must be finite and >= 0, got inf"),
-        (dict(trials=0), "trials", "trials must be >= 1"),
-        (dict(trials=2**32 + 1), "trials", "trials must be <= 2**32"),
+        (dict(trials=0), "trials", "trials must be >= 1, got 0"),
+        (dict(trials=2**32 + 1), "trials", "trials must be <= 2**32, got 4294967297"),
+        (dict(trials=10**5000), "trials",
+         "trials must be <= 2**32, got <integer beyond the int-string limit>"),
     ])
     def test_range_errors_name_the_field(self, values, field, message):
         with pytest.raises(InvalidFieldError) as exc:

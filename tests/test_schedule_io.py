@@ -6,6 +6,7 @@ from helpers import unit_axes
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geoloop import schedule_io
 from geoloop.core import ControlSegment, Schedule
 from geoloop.gates import single_loop_schedule
 from geoloop.records import InvalidFieldError
@@ -154,14 +155,14 @@ class TestParseErrors:
         [("version", "unsupported version"), ("label", "label must be a string, got")],
     )
     def test_shows_an_integer_beyond_the_int_string_limit(self, key, message):
-        # 5001 digits: json.loads cannot read them as an int, nor str() print one.
+        # 5001 digits: beyond the float range, so the literal reads as inf.
         fields = {"version": "1", "kind": '"single_qubit"', "label": '""', "segments": "[]"}
         fields[key] = "1" + "0" * 5000
         text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
         with pytest.raises(ScheduleParseError) as exc:
             parse_schedule(text)
         column = text.index(f'"{key}"') + 1
-        expected = f"{message} <integer beyond the int-string limit> (line 1, column {column})"
+        expected = f"{message} inf (line 1, column {column})"
         assert str(exc.value) == expected
 
     def test_unknown_kind(self):
@@ -236,6 +237,11 @@ def _token_at(text, exc):
     return line[exc.column - 1 :]
 
 
+# The text of a file up to its one record, which starts at line 3, column 3.
+SEGMENTS_HEAD = '{"version": 1, "kind": "single_qubit",\n "segments": [\n  '
+STEPS_HEAD = '{"version": 1, "kind": "two_qubit", "mode": "natural",\n "steps": [\n  '
+
+
 class TestParseErrorPositions:
     """Errors inside a segment or step point into that segment or step."""
 
@@ -261,14 +267,16 @@ class TestParseErrorPositions:
             ("axis", "true", "field 'axis' must be a 3-element list"),
             ("omega", "-1.0", "invalid segment: omega must be finite and >= 0"),
             ("colour", '"red"', "unknown field 'colour' in segment"),
-            # Beyond the float range: float() of the integer overflows.
-            pytest.param("omega", "1" + "0" * 400, "field 'omega' must be a finite number",
+            # Beyond the float range: the integer reads as inf, as 1e400 does.
+            pytest.param("omega", "1" + "0" * 400,
+                         "invalid segment: omega must be finite and >= 0, got inf",
                          id="omega-401-digit-integer"),
-            # Beyond Python's int-string limit: json.loads cannot read it as an int.
-            pytest.param("omega", "1" + "0" * 5000, "field 'omega' must be a finite number",
+            # Beyond Python's int-string limit too.
+            pytest.param("omega", "1" + "0" * 5000,
+                         "invalid segment: omega must be finite and >= 0, got inf",
                          id="omega-5001-digit-integer"),
             pytest.param("axis", "[0, 0, 1" + "0" * 400 + "]",
-                         "field 'axis' must be a finite number",
+                         "invalid segment: axis norm inf differs from 1",
                          id="axis-401-digit-integer"),
         ],
     )
@@ -373,7 +381,8 @@ class TestParseErrorPositions:
             ('{"pulse_y": {"omega": 1, "duration": 1, "phase": 0}}', '"phase"',
              "unknown field 'phase' in pulse_y"),
             pytest.param('{"coupling": {"duration": 1, "j": 1%s}}' % ("0" * 400), '"j": 1',
-                         "field 'j' must be a finite number", id="j-401-digit-integer"),
+                         "invalid coupling step: coupling_j must be finite and > 0, got inf",
+                         id="j-401-digit-integer"),
         ],
     )
     def test_points_into_offending_step(self, bad_step, token, message):
@@ -388,6 +397,63 @@ class TestParseErrorPositions:
         assert message in str(exc.value)
         assert exc.value.line == 4
         assert _token_at(text, exc.value).startswith(token)
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "digits", [400, 5001], ids=["400-digit-integer", "5001-digit-integer"]
+    )
+    @pytest.mark.parametrize(
+        "head, record, key, message",
+        [
+            (SEGMENTS_HEAD, '{"axis": [0, 0, 1], "omega": @, "duration": 1}', "omega",
+             "invalid segment: omega must be finite and >= 0, got {sign}inf"),
+            (SEGMENTS_HEAD, '{"axis": [0, 0, 1], "omega": 1, "duration": @}', "duration",
+             "invalid segment: duration must be finite and >= 0, got {sign}inf"),
+            (SEGMENTS_HEAD, '{"axis": [0, @, 0], "omega": 1, "duration": 1}', "axis",
+             "invalid segment: axis norm inf differs from 1"),
+            (STEPS_HEAD, '{"coupling": {"duration": 1, "j": @}}', "j",
+             "invalid coupling step: coupling_j must be finite and > 0, got {sign}inf"),
+        ],
+        ids=["omega", "duration", "axis", "j"],
+    )
+    def test_integer_beyond_the_float_range_reads_as_1e400(
+        self, head, record, key, message, digits, sign
+    ):
+        # An integer literal beyond the float range meets the field's own
+        # rule, as the float literal 1e400 does: same text, same token.
+        errors = []
+        for literal in (sign + "1e400", sign + "1" + "0" * (digits - 1)):
+            text = head + record.replace("@", literal) + "]}"
+            with pytest.raises(ScheduleParseError) as exc:
+                parse_schedule(text)
+            assert _token_at(text, exc.value).startswith(f'"{key}": ')
+            errors.append(str(exc.value))
+        column = 3 + record.index(f'"{key}"')
+        expected = f"{message.format(sign=sign)} (line 3, column {column})"
+        assert errors == [expected, expected]
+
+    @pytest.mark.parametrize("digits", [299, 300, 308, 309])
+    def test_long_integer_literals_keep_their_bits(self, digits):
+        # A literal of 300 or more characters reads as float(literal), which
+        # is correctly rounded, as float(int(literal)) is.
+        rng = np.random.default_rng(digits)
+        for _ in range(50):
+            # Below 1.7e308, so that 309 digits stay in the float range.
+            head = "1" + str(rng.integers(0, 7))
+            literal = head + "".join(map(str, rng.integers(0, 10, digits - 2)))
+            text = ('{"version": 1, "kind": "single_qubit", "segments": '
+                    '[{"axis": [0, 0, 1], "omega": %s, "duration": 0}]}' % literal)
+            omega = parse_schedule(text).segments[0].omega
+            assert omega.hex() == float(int(literal)).hex()
+
+    def test_309_digit_literal_above_the_float_range(self):
+        literal = "18" + "0" * 307  # 1.8e308, above the largest float
+        text = ('{"version": 1, "kind": "single_qubit", "segments": '
+                '[{"axis": [0, 0, 1], "omega": %s, "duration": 0}]}' % literal)
+        with pytest.raises(ScheduleParseError) as exc:
+            parse_schedule(text)
+        assert str(exc.value) == (
+            "invalid segment: omega must be finite and >= 0, got inf (line 1, column 73)")
 
     def test_escaped_key_is_found(self):
         text = (
@@ -431,6 +497,23 @@ def test_save_schedule_keeps_the_target_when_serializing_fails(tmp_path):
     with pytest.raises(ValueError):
         save_schedule(sched, path)
     assert path.read_bytes() == b"old bytes\n"
+
+
+def test_save_schedule_writes_newline_line_ends(tmp_path, monkeypatch):
+    # "\n" on every platform, as the CLI writes: text mode would otherwise
+    # write os.linesep.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(schedule_io, "open", spy, raising=False)
+    sched = single_loop_schedule(0.7, 1.0, 2.0)
+    path = tmp_path / "loop.json"
+    save_schedule(sched, path)
+    assert [kwargs.get("newline") for kwargs in calls] == ["\n"]
+    assert path.read_bytes() == serialize_schedule(sched).encode()
 
 
 def test_serialize_rejects_what_is_not_a_schedule():
