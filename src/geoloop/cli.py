@@ -30,6 +30,15 @@ class CliError(Exception):
     """Input error; maps to exit code 2."""
 
 
+def _is_number(text: str) -> bool:
+    """Whether parse_angle reads text as a number or a pi-literal, pi/0 included."""
+    try:
+        float(text)
+    except ValueError:
+        return bool(_PI_LITERAL.match(text.strip()))
+    return True
+
+
 def parse_angle(text: str) -> float:
     """Parse radians, allowing pi-literals like 'pi', '3pi/4', '-pi/3'.
 
@@ -185,16 +194,44 @@ def cmd_noise(args) -> tuple[int, str]:
     return 0, "".join(["trial,fidelity\n", *rows, summary])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "--phi -pi/3" as "--phi=-pi/3".
+
+    argparse takes a token that starts with "-" for an option unless it is a
+    plain negative number such as -1 or -.5, so -pi/3, -1e-3 or -inf after
+    an option would leave that option without its value.
+    """
+
+    def __init__(self, *args, parents=(), **kwargs):
+        self.value_options = set()  # option strings that take one value
+        super().__init__(*args, parents=parents, **kwargs)
+        for parent in parents:
+            self.value_options |= parent.value_options
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            if args[i - 1] in self.value_options and args[i][:1] == "-" and _is_number(args[i]):
+                args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geoloop",
         description="Single-loop geometric quantum gate toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Arguments that commands share; a command lists its parents' arguments first.
-    file = argparse.ArgumentParser(add_help=False)
+    file = _Parser(add_help=False)
     file.add_argument("schedule", help="schedule file")
-    state = argparse.ArgumentParser(add_help=False, parents=[file])
+    state = _Parser(add_help=False, parents=[file])
     state.add_argument("--chi", required=True, help="initial-state polar angle")
     state.add_argument("--phi", default="0", help="initial-state azimuth")
 

@@ -53,12 +53,17 @@ TARGET_UNITARITY_TOL = 1e-12
 _FAST_SEGMENTS = 12
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Most trials a NoiseSpec allows. A sweep peaks at about 48 bytes a trial
+# (the float64 fidelities, their tolist() list and the tuple of floats), so
+# 2**23 trials take about 400 MB, within the 512 MiB of phases.MAX_PATH_ROWS.
+# It also keeps every trial index inside one 32-bit seed word (_seed_words).
+MAX_TRIALS = 2**23
 
 
 class NoiseSpec(_Record):
     """Relative Gaussian error levels, trial count, and RNG seed.
 
-    Sigmas are finite floats >= 0; trials and seed are ints, trials in [1, 2**32].
+    Sigmas are finite floats >= 0; trials and seed are ints, trials in [1, MAX_TRIALS].
     """
 
     __slots__ = ("sigma_omega", "sigma_tau", "trials", "seed")
@@ -74,8 +79,9 @@ class NoiseSpec(_Record):
         _setfield(self, "sigma_tau", as_nonnegative("sigma_tau", sigma_tau))
         _setfield(self, "trials", as_int("trials", trials, 1))
         _setfield(self, "seed", as_int("seed", seed))
-        if not self.trials <= 2**32:  # a trial index is one 32-bit seed word
-            raise InvalidFieldError("trials", f"trials must be <= 2**32, got {_shown(trials)}")
+        if not self.trials <= MAX_TRIALS:
+            message = f"trials must be <= {MAX_TRIALS}, got {_shown(trials)}"
+            raise InvalidFieldError("trials", message)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,16 @@ def loop_file(tmp_path):
     return path
 
 
+def main_result(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's usage errors included."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return (rc, *capsys.readouterr())
+
+
 # The float.hex of each unsigned pi-literal, recorded while parse_angle
 # multiplied and divided only by the parts the literal holds.
 PI_LITERAL_BITS = {
@@ -214,31 +224,37 @@ class TestSynthesize:
         assert not out.exists()
 
 
+# The tests' usual NMR parameters, and a matched accessory field.
+TWO_QUBIT_PARAMS = [NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5),
+                    NmrParams(5.0, 3.0, 0.8).with_matched_accessory()]
+
+
 class TestVerify:
     def test_pass_against_closed_form(self, loop_file, capsys):
         rc = main(["verify", str(loop_file), "--target", "u_chi:pi/4"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "PASS" in out
+        assert out.endswith("\nPASS\n")
 
-    def test_fail_against_wrong_target(self, loop_file, capsys):
-        rc = main(["verify", str(loop_file), "--target", "u_chi:pi/3"])
+    @pytest.mark.parametrize("target", ["u_chi:pi/3", "u_chi:0"])
+    def test_fail_against_wrong_target(self, loop_file, capsys, target):
+        rc = main(["verify", str(loop_file), "--target", target])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("\nFAIL\n")
 
-    def test_two_qubit_natural(self, tmp_path, capsys):
-        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
+    @pytest.mark.parametrize("p", TWO_QUBIT_PARAMS)
+    def test_two_qubit_natural(self, tmp_path, capsys, p):
         path = tmp_path / "u2.json"
         save_schedule(two_qubit_schedule(1.0, p, "natural"), path)
         assert main(["verify", str(path), "--target", "u2"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("\nPASS\n")
 
-    def test_two_qubit_line_selective(self, tmp_path, capsys):
-        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
+    @pytest.mark.parametrize("p", TWO_QUBIT_PARAMS)
+    def test_two_qubit_line_selective(self, tmp_path, capsys, p):
         path = tmp_path / "u2p.json"
         save_schedule(two_qubit_schedule(1.0, p, "line_selective"), path)
         assert main(["verify", str(path), "--target", "u2_prime"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("\nPASS\n")
 
     def test_two_qubit_non_finite_pulse(self, tmp_path, capsys):
         p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
@@ -366,9 +382,12 @@ class TestExportPath:
         assert main(["export-path", str(loop_file), "--chi", "pi/4", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
-    def test_rejects_too_few_samples(self, loop_file, tmp_path):
+    def test_rejects_too_few_samples(self, loop_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
         assert main(["export-path", str(loop_file), "--chi", "pi/4", "--samples", "1",
-                     "--out", str(tmp_path / "p.csv")]) == 2
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: samples_per_segment must be >= 2, got 1\n"
+        assert not out.exists()
 
     def test_rejects_a_path_over_the_row_cap(self, loop_file, tmp_path, capsys):
         # Run against a tree without the cap, this asks for about 128 GB.
@@ -383,14 +402,16 @@ class TestExportPath:
 
 class TestNoise:
     def test_zero_sigma_all_ones(self, loop_file, capsys):
+        # Every trial is the unperturbed loop: one and the same fidelity.
         rc = main(["noise", str(loop_file), "--target", "u_chi:pi/4",
-                   "--trials", "5", "--seed", "1"])
+                   "--trials", "100", "--seed", "7"])
         assert rc == 0
         out = capsys.readouterr().out
         rows = out.strip().splitlines()
         assert rows[0] == "trial,fidelity"
-        for row in rows[1:6]:
-            assert float(row.split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+        fidelities = {row.split(",")[1] for row in rows[1:101]}
+        assert len(fidelities) == 1 and rows[101].startswith("mean,")
+        assert float(fidelities.pop()) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_output(self, loop_file, capsys):
         args = ["noise", str(loop_file), "--target", "u_chi:pi/4",
@@ -551,14 +572,9 @@ def test_process_matches_main(tmp_path, monkeypatch, capsys, argv):
     written = {name: Path(name).read_bytes() for name in set(os.listdir()) - before}
     for name in written:
         os.remove(name)
-    capsys.readouterr()
-    try:
-        rc = main(argv.split())
-    except SystemExit as exc:  # argparse's usage error
-        rc = exc.code
-    captured = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, captured.out, captured.err)
-    assert (rc, len(captured.out.splitlines())) == PROCESS_CASES[argv]
+    rc, out, err = main_result(capsys, argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+    assert (rc, len(out.splitlines())) == PROCESS_CASES[argv]
     assert written == {name: Path(name).read_bytes() for name in set(os.listdir()) - before}
 
 
@@ -643,6 +659,27 @@ GOLDEN_STDOUT = {
     "noise loop.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
     " --trials 600 --seed 7":
         "772f1fae432a277de09918c5b0612b7c00c0d3ab63270a93288f643f814d2f71",
+    # The entries below were first pinned in the CI workflow's installed-command
+    # step. The benchmark's trial count: four blocks, the last one partial.
+    "noise loop.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
+    " --trials 2000 --seed 7":
+        "d2a55bb31075386de3f9da67e3270f0f8b9a85a7dd3419c3c425ece15d49e3d8",
+    # The block product's other two shapes over a whole block and part of a
+    # second: an empty schedule (its trials cannot differ, so one is
+    # propagated; u_chi is traceless, so every fidelity is 0) and z segments
+    # only (diagonal).
+    "noise empty.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
+    " --trials 600 --seed 7":
+        "c88c72eecf58444db51927d52903ceed58263fc8d14b25bac634b6fe20f00585",
+    "noise zonly.json --target u_chi:pi/4 --sigma-omega 0.02 --sigma-tau 0.01"
+    " --trials 600 --seed 7":
+        "e2da3c27a518f20d0fbf48c70836148e56a45e341092e7ec3ab1bce25eeab278",
+    # A seed of two 32-bit words over two blocks, with draws large enough to be
+    # clamped at zero and trials whose draws the ziggurat's fast path leaves to
+    # numpy.
+    "noise loop.json --target u_chi:pi/4 --sigma-omega 0.3 --sigma-tau 0.2"
+    " --trials 1100 --seed 18446744073709551615":
+        "254ca69fef27fec1e06a5b844a753b7e744467e1acedab88bea63f4f573c86bd",
 }
 
 GOLDEN_HELP = {
@@ -698,10 +735,64 @@ def test_non_finite_angle_meets_its_field_rule(loop_file, tmp_path, capsys, name
     assert not (tmp_path / "s.json").exists() and not (tmp_path / "p.csv").exists()
 
 
+# Each option that takes a value -> an argv with "@" for that value.
+VALUE_OPTIONS = {
+    "--chi": "phase {loop} --chi @",
+    "--phi": "phase {loop} --chi pi/4 --phi @",
+    "--omega": "synthesize --chi pi/4 --omega @ --omega2 1 --out s.json",
+    "--omega2": "synthesize --chi pi/4 --omega 1 --omega2 @ --out s.json",
+    "--out": "synthesize --chi pi/4 --omega 1 --omega2 1 --out @",
+    "--target": "verify {loop} --target @",
+    "--samples": "export-path {loop} --chi pi/4 --samples @ --out p.csv",
+    "--sigma-omega": "noise {loop} --target u_chi:pi/4 --sigma-omega @ --trials 2",
+    "--sigma-tau": "noise {loop} --target u_chi:pi/4 --sigma-tau @ --trials 2",
+    "--trials": "noise {loop} --target u_chi:pi/4 --trials @",
+    "--seed": "noise {loop} --target u_chi:pi/4 --sigma-tau 0.01 --trials 2 --seed @",
+}
+
+
+@pytest.mark.parametrize("value", ["-pi/3", "-1e-3", "-inf", "-pi/0", "-7"])
+@pytest.mark.parametrize("option", VALUE_OPTIONS)
+def test_negative_value_after_a_space(loop_file, tmp_path, monkeypatch, capsys, option, value):
+    # argparse takes "-pi/3" for an option; "OPT -pi/3" must read as "OPT=-pi/3".
+    monkeypatch.chdir(tmp_path)
+    argv = VALUE_OPTIONS[option].format(loop=loop_file).split()
+    at = argv.index("@")
+    spaced = main_result(capsys, [*argv[:at], value, *argv[at + 1:]])
+    joined = main_result(capsys, [*argv[:at - 1], f"{option}={value}", *argv[at + 1:]])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+def test_negative_value_after_a_space_in_sys_argv(loop_file, monkeypatch, capsys):
+    # A process reads its arguments from sys.argv.
+    argv = ["phase", str(loop_file), "--chi", "pi/4", "--phi"]
+    monkeypatch.setattr(sys, "argv", ["geoloop", *argv, "-2pi"])
+    spaced = main_result(capsys, None)
+    assert spaced == main_result(capsys, [*argv[:-1], "--phi=-2pi"])
+    assert spaced[0] == 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("phase {loop} --phi --chi pi/4", "--phi"),
+    ("phase {loop} --chi --phi -pi/3", "--chi"),
+])
+def test_a_missing_value_is_still_a_usage_error(loop_file, capsys, argv, option):
+    rc, out, err = main_result(capsys, argv.format(loop=loop_file).split())
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+
 GOLDEN_FILES = {
     # file written by the setup's synthesize and by the export-path case above
     "loop.json": "8875acd186501e66f391caf2c57155bf5fdde7bd7d1928c45ccb66ef1d79b847",
     "path.csv": "8d9059df96167f4495ebb6adda6857c0491708c33f05f20456d99a3c46f71dfe",
+    # First pinned in the CI workflow's installed-command step. 5000 samples
+    # per segment fill a whole PATH_BLOCK block and part of a second.
+    "path5000.csv": "0b375f4269187a022ba6e1f73e5e885b773609dc0b0a07b64a961b878605414d",
+    # The conditional gates in both modes, at a matched accessory field.
+    "u2-matched.json": "124ca5c6247837e240a82be35e20c460c590855c9f1ad3a1b214f91f88574882",
+    "u2p-matched.json": "48b7d37b48196dec9748d0d0f16f6663a0fe9842cd1d2bf07bd65992286c181e",
 }
 
 GOLDEN_ERRORS = {
@@ -745,6 +836,16 @@ GOLDEN_ERRORS = {
         (2, "error: path export is defined for single-qubit schedules\n"),
     "noise u2.json --target u_chi:0":
         (2, "error: noise sweeps are defined for single-qubit schedules\n"),
+    # Run against a tree without noise.MAX_TRIALS, this sweeps 8388609 trials.
+    "noise loop.json --target u_chi:pi/4 --trials 8388609":
+        (2, "error: trials must be <= 8388608, got 8388609\n"),
+    # First pinned in the CI workflow's installed-command step.
+    "synthesize --chi pi/4 --omega 0 --omega2 1 --out x.json":
+        (2, "error: omega must be finite and > 0, got 0.0\n"),
+    # A 400-digit integer reads as inf, as 1e400 does, and meets the field's rule.
+    "verify big.json --target u_chi:0":
+        (2, "error: big.json: invalid segment: omega must be finite and >= 0, got inf "
+            "(line 1, column 73)\n"),
 }
 
 
@@ -806,9 +907,9 @@ class TestGoldenBytes:
         monkeypatch.chdir(tmp_path)
         assert main("synthesize --chi pi/4 --omega 1.0 --omega2 1.0 --out loop.json"
                     .split()) == 0
-        p = NmrParams(omega_a=2.0, omega_b=1.0, coupling_j=0.5)
-        save_schedule(two_qubit_schedule(1.0, p, "natural"), "u2.json")
-        save_schedule(two_qubit_schedule(1.0, p, "line_selective"), "u2p.json")
+        for p, suffix in zip(TWO_QUBIT_PARAMS, ["", "-matched"]):
+            save_schedule(two_qubit_schedule(1.0, p, "natural"), f"u2{suffix}.json")
+            save_schedule(two_qubit_schedule(1.0, p, "line_selective"), f"u2p{suffix}.json")
         head = '{"version": 1, "kind": "single_qubit", "segments": [\n  '
         (tmp_path / "broken.json").write_text("{broken")
         (tmp_path / "unknown.json").write_text(
@@ -819,6 +920,13 @@ class TestGoldenBytes:
             '{"version": 1, "kind": "two_qubit", "mode": "magic", "steps": []}')
         (tmp_path / "longint.json").write_text(
             head + '{"axis": [0, 0, 1], "omega": 1%s, "duration": 1}]}' % ("0" * 5000))
+        one_line = '{"version": 1, "kind": "single_qubit", "segments": [%s]}\n'
+        (tmp_path / "empty.json").write_text(one_line % "")
+        (tmp_path / "zonly.json").write_text(one_line % (
+            '{"axis": [0, 0, 1], "omega": 1, "duration": 0.5}, '
+            '{"axis": [0, 0, -1], "omega": 2, "duration": 0.3}'))
+        (tmp_path / "big.json").write_text(one_line % (
+            '{"axis": [0, 0, 1], "omega": 1%s, "duration": 1}' % ("0" * 399)))
 
     @pytest.mark.parametrize("argv", GOLDEN_STDOUT)
     def test_stdout(self, capsys, argv):
@@ -829,8 +937,9 @@ class TestGoldenBytes:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
     def test_written_files(self):
-        assert main("export-path loop.json --chi pi/4 --samples 50 --out path.csv"
-                    .split()) == 0
+        for samples, out in [(50, "path.csv"), (5000, "path5000.csv")]:
+            assert main(f"export-path loop.json --chi pi/4 --samples {samples} --out {out}"
+                        .split()) == 0
         for name, digest in GOLDEN_FILES.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest
 

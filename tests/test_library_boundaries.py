@@ -41,7 +41,13 @@ from geoloop.core import (
     state_from_angles,
 )
 from geoloop.gates import commutator_norm, compare_gates, u_chi, u_gate
-from geoloop.noise import NoiseSpec, fidelity_sweep, perturb_schedule, predicted_infidelity
+from geoloop.noise import (
+    MAX_TRIALS,
+    NoiseSpec,
+    fidelity_sweep,
+    perturb_schedule,
+    predicted_infidelity,
+)
 from geoloop.phases import (
     BlochPath,
     dynamical_phase,
@@ -111,7 +117,7 @@ CASES = {
     "CouplingStep": (CouplingStep, {"duration": RATES, "coupling_j": RATES}),
     "NoiseSpec": (
         NoiseSpec,
-        {"sigma_omega": RATES, "sigma_tau": RATES, "trials": st.sampled_from([1, 2**32]),
+        {"sigma_omega": RATES, "sigma_tau": RATES, "trials": st.sampled_from([1, MAX_TRIALS]),
          "seed": st.sampled_from([0, -1, 10**400])},
     ),
 }

@@ -12,6 +12,7 @@ from geoloop import noise
 from geoloop.core import ControlSegment, Schedule, ordered_product, schedule_unitary, su2
 from geoloop.gates import single_loop_schedule, u_chi
 from geoloop.noise import (
+    MAX_TRIALS,
     TRIAL_BLOCK,
     NoiseSpec,
     _block_draws,
@@ -87,10 +88,13 @@ class TestPerturbSchedule:
             NoiseSpec(trials=0)
 
     def test_trials_fit_the_32_bit_seed_word(self):
-        # A trial index is one 32-bit word of its stream's seed.
-        assert NoiseSpec(trials=2**32).trials == 2**32
-        with pytest.raises(ValueError):
-            NoiseSpec(trials=2**32 + 1)
+        # A trial index is one 32-bit word of its stream's seed, and the cap
+        # keeps a sweep's memory bounded. No sweep runs at the cap.
+        assert MAX_TRIALS <= 2**32
+        assert NoiseSpec(trials=MAX_TRIALS).trials == MAX_TRIALS
+        with pytest.raises(InvalidFieldError) as exc:
+            NoiseSpec(trials=MAX_TRIALS + 1)
+        assert exc.value.field == "trials"
 
     def test_rejects_overflowing_perturbed_angle(self):
         spec = NoiseSpec(sigma_omega=1e308)
@@ -132,9 +136,10 @@ class TestPerturbSchedule:
         (dict(sigma_omega=math.inf, sigma_tau=-1), "sigma_omega",
          "sigma_omega must be finite and >= 0, got inf"),
         (dict(trials=0), "trials", "trials must be >= 1, got 0"),
-        (dict(trials=2**32 + 1), "trials", "trials must be <= 2**32, got 4294967297"),
+        (dict(trials=MAX_TRIALS + 1), "trials", "trials must be <= 8388608, got 8388609"),
+        (dict(trials=2**32 + 1), "trials", "trials must be <= 8388608, got 4294967297"),
         (dict(trials=10**5000), "trials",
-         "trials must be <= 2**32, got <integer beyond the int-string limit>"),
+         "trials must be <= 8388608, got <integer beyond the int-string limit>"),
     ])
     def test_range_errors_name_the_field(self, values, field, message):
         with pytest.raises(InvalidFieldError) as exc:

@@ -785,12 +785,13 @@ class TestSolidAngleInvariant:
         monkeypatch.setattr(phases, "PATH_BLOCK", block)
         assert abs(solid_angle(path) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("omegas", [(0.7, 1.3), (1.0, 1.0)])
     @pytest.mark.parametrize("samples", [3, 50, 10_000])
     @pytest.mark.parametrize(
         "chi", [0.0, 1e-6, 1e-4, math.pi / 4, math.pi / 2 - 1e-3, math.pi / 2]
     )
-    def test_paper_loop_area_is_pi(self, chi, samples):
-        sched, state = loop_and_state(chi, 0.7, 1.3)
+    def test_paper_loop_area_is_pi(self, chi, samples, omegas):
+        sched, state = loop_and_state(chi, *omegas)
         assert abs(solid_angle(sample_path(sched, state, samples)) - math.pi) <= 1e-12
 
 
